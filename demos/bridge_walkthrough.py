@@ -3,8 +3,8 @@
 The graph has blocks {0,1,2,3} and {4,5,6,7} with a single cross edge
 {3,4}; nodes 0 and 7 are labeled.  This is small enough to see everything:
 the TV of the true indicator, the exact min-cut optimum, the solver's
-averaged iterate, and the circulation certificate that guarantees exact
-recovery.
+averaged iterate, and the well-connectedness certificate that guarantees
+exact recovery.
 
 Run:  python3 demos/bridge_walkthrough.py
 """
@@ -44,8 +44,8 @@ print("assignment:", result.assignment,
       "| accuracy:", accuracy(result, truth, seeds=[0, 7]))
 
 # Recovery was not luck: both labeled nodes are well connected to their
-# cluster boundaries (every +-2 boundary pattern admits a circulation),
-# which certifies that TV minimization recovers the exact partition.
+# cluster boundaries (every +-2 boundary pattern can be routed to the
+# labeled node; one max-flow decides it), which certifies that TV minimization recovers the exact partition.
 for k, labeled in ((1, 0), (2, 7)):
     cut_cond = subset_cut_check(g, truth, k, labeled)
     print(f"cluster {k}, labeled node {labeled}: "

@@ -2,9 +2,9 @@
 
 Generates a modest block-model draw, then prints the full analysis
 report: boundary sizes, algebraic connectivity, the spectral cut bound,
-exhaustive subset-cut and circulation checks per labeled node, the
-parameter condition S*p_in/p_out >= beta*n_k*(N-n_k), and the closed-form
-failure bound.
+the exhaustive subset-cut check and the one-flow well-connectedness check
+per labeled node, the parameter condition S*p_in/p_out >= beta*n_k*(N-n_k),
+and the closed-form failure bound.
 
 Run:  python3 demos/recovery_certificates.py
 """

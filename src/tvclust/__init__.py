@@ -3,7 +3,8 @@
 Recovers cluster assignments on partially labeled stochastic block models
 by solving one TV-minimization problem per cluster with a primal-dual
 message-passing solver, decoding by argmax, and certifying recovery with
-exact min-cut oracles, circulation checks and spectral bounds.
+exact min-cut oracles, max-flow well-connectedness checks and spectral
+bounds.
 """
 
 from tvclust.analysis import (

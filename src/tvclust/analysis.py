@@ -4,22 +4,24 @@ Everything here is about deciding, for a given graph and labeled nodes,
 whether TV minimization provably recovers the planted clusters, and about
 verifying solver output exactly:
 
-* an exact TV-minimization oracle for binary seed values, via max-flow /
-  min-cut on a unit-capacity network (source wired to the 1-seeds, sink to
-  the 0-seeds);
+* one exact max-flow / min-cut helper on integer arc arrays
+  (:func:`min_cut`, scipy's Dinic), under everything below that needs a
+  flow;
+* an exact TV-minimization oracle for binary seed values, via min-cut on a
+  unit-capacity network (source wired to the 1-seeds, sink to the
+  0-seeds);
 * the algebraic connectivity (second-smallest Laplacian eigenvalue) of
   cluster subgraphs and the spectral cut bound
   (1 - 1/N) * lambda2 >= 2 * boundary_edge_count;
-* exhaustive subset-cut conditions and the circulation-based
-  well-connectedness certificate (every +-2 boundary-weight pattern must
-  be realizable by a circulation with unit capacities on intra-cluster
-  edges, the labeled node's return arc uncapacitated);
+* exhaustive subset-cut conditions and the well-connectedness certificate
+  (every +-2 boundary-weight pattern must be routable to the labeled node
+  with unit capacities on intra-cluster edges), decided by one max-flow;
 * closed-form concentration bounds on the boundary size and the spectral
   gap, and the model-parameter recovery condition
   S * p_in / p_out >= beta * n_k * (N - n_k) with its failure bound.
 
-The exhaustive checks are guarded (cluster size <= 22, boundary size
-<= 16); above the guard they report "not checked" rather than estimating.
+The exhaustive subset-cut check is guarded (cluster size <= 22); above the
+guard it reports "not checked" rather than estimating.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from tvclust.flows import FlowNetwork, circulation_feasible, infinite_capacity, min_cut
 from tvclust.graphs import (
     DENSE_CAP_DEFAULT,
     Graph,
     Partition,
-    augmented_subgraph,
     boundary_edge_count,
     boundary_nodes,
     induced_subgraph,
@@ -46,7 +47,6 @@ from tvclust.graphs import (
 from tvclust.sbm import SbmInstance, SbmParams
 
 SUBSET_ENUM_MAX_NODES = 22
-PATTERN_ENUM_MAX_BOUNDARY = 16
 
 
 class EnumerationGuardError(ValueError):
@@ -55,6 +55,46 @@ class EnumerationGuardError(ValueError):
 
 class OracleInputError(ValueError):
     """Seed values passed to the min-cut oracle are not all binary."""
+
+
+class CapacityRangeError(ValueError):
+    """An arc capacity is negative or does not fit scipy's int32 max-flow."""
+
+
+# ---------------------------------------------------------------------------
+# Exact max-flow / min-cut
+# ---------------------------------------------------------------------------
+
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def min_cut(num_nodes: int, tails, heads, caps, source: int, sink: int):
+    """Maximum flow and minimum cut of the network with arcs tails -> heads.
+
+    Returns (value, source_side, unique).  `source_side` is a boolean mask
+    of the nodes reachable from the source in the residual network
+    cap - flow (the minimal minimum cut).  `unique` is True iff the minimum
+    cut is unique: the minimal source side is then the complement of the
+    nodes that can still reach the sink.  Parallel arcs add their
+    capacities.  An unbounded arc takes a capacity above the total of the
+    finite ones; every capacity must fit in int32.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    if caps.size and (caps.min() < 0 or caps.max() > INT32_MAX):
+        raise CapacityRangeError(
+            f"capacities span {caps.min()}..{caps.max()}, outside 0..{INT32_MAX}"
+        )
+    cap = scipy.sparse.csr_matrix(
+        (caps.astype(np.int32), (np.asarray(tails), np.asarray(heads))),
+        shape=(num_nodes, num_nodes),
+    )
+    flow = maximum_flow(cap, source, sink, method="dinic")
+    residual = (cap - flow.flow) > 0
+    source_side = np.zeros(num_nodes, dtype=bool)
+    source_side[breadth_first_order(residual, source, return_predecessors=False)] = True
+    sink_side = np.zeros(num_nodes, dtype=bool)
+    sink_side[breadth_first_order(residual.T, sink, return_predecessors=False)] = True
+    return int(flow.flow_value), source_side, bool((source_side != sink_side).all())
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +113,8 @@ def mincut_tv_oracle(g: Graph, seed_values: dict) -> OracleResult:
 
     Builds a unit-capacity arc pair per undirected edge, wires a
     super-source to every 1-seed and every 0-seed to a super-sink with
-    uncapacitated arcs, and reads the optimum off the max flow.  The
-    returned signal is the indicator of the minimal source side, an exact
+    unbounded arcs, and reads the optimum off the max flow.  The returned
+    signal is the indicator of the minimal source side, an exact
     minimizer.  With seeds of only one value the optimum is 0 with a
     constant signal.
     """
@@ -89,20 +129,17 @@ def mincut_tv_oracle(g: Graph, seed_values: dict) -> OracleResult:
     if not ones or not zeros:
         level = 1.0 if ones else 0.0
         return OracleResult(0, np.full(g.num_nodes, level), True)
-    source, sink = g.num_nodes, g.num_nodes + 1
-    unbounded = infinite_capacity([1] * (2 * g.num_edges))
-    net = FlowNetwork(g.num_nodes + 2)
-    for head, tail in g.edges:
-        net.add_arc(int(head), int(tail), 1)
-        net.add_arc(int(tail), int(head), 1)
-    for node in ones:
-        net.add_arc(source, node, unbounded)
-    for node in zeros:
-        net.add_arc(node, sink, unbounded)
-    value, side, unique = min_cut(net, source, sink)
-    signal = np.zeros(g.num_nodes)
-    signal[[i for i in side if i < g.num_nodes]] = 1.0
-    return OracleResult(int(value), signal, unique)
+    n = g.num_nodes
+    source, sink = n, n + 1
+    unbounded = 2 * g.num_edges + 1
+    tails = np.concatenate([g.heads, g.tails, np.full(len(ones), source), zeros])
+    heads = np.concatenate([g.tails, g.heads, ones, np.full(len(zeros), sink)])
+    caps = np.concatenate(
+        [np.ones(2 * g.num_edges, dtype=np.int64),
+         np.full(len(ones) + len(zeros), unbounded)]
+    )
+    value, side, unique = min_cut(n + 2, tails, heads, caps, source, sink)
+    return OracleResult(value, side[:n].astype(np.float64), unique)
 
 
 # ---------------------------------------------------------------------------
@@ -237,51 +274,41 @@ def subset_cut_check(
 
 
 # ---------------------------------------------------------------------------
-# Circulation-based well-connectedness certificate
+# Well-connectedness certificate
 # ---------------------------------------------------------------------------
 
 def well_connected(g: Graph, p: Partition, k: int, labeled_node: int) -> bool:
     """Certify that the labeled node is well connected to cluster k's boundary.
 
     For every choice of boundary weights in {-2, +2} there must exist a
-    circulation on the augmented subgraph that pushes exactly that weight
-    along each auxiliary boundary arc, respects |flow| <= 1 on every
-    intra-cluster edge, and may route anything through the uncapacitated
-    arc between the labeled node and the auxiliary node.  (A forced weight
-    on the labeled node's own boundary arc could always be cancelled
-    through that parallel free arc, so patterns range over the other
-    boundary nodes only.)
+    flow on cluster k's induced subgraph, |flow| <= 1 on every edge, that
+    takes each weight into (+2) or out of (-2) its boundary node and
+    balances at the labeled node.  The labeled node's own weight is free,
+    so patterns range over the other boundary nodes B'.
+
+    By Gale's and Hoffman's feasibility theorem a pattern sigma is routable
+    iff |sigma(S)| <= cut(S) for every node set S avoiding the labeled
+    node.  The all-+2 pattern maximizes |sigma(S)| for every S at once, so
+    the certificate holds iff one max-flow from an auxiliary source, with
+    capacity 2 into each node of B', to the labeled node has value 2|B'|.
     """
     if p.assignment[labeled_node] != k:
         raise ValueError(f"labeled node {labeled_node} is not in cluster {k}")
-    bnodes = boundary_nodes(g, p, k)
-    if bnodes.size > PATTERN_ENUM_MAX_BOUNDARY:
-        raise EnumerationGuardError(
-            f"boundary size {bnodes.size} exceeds enumeration guard "
-            f"{PATTERN_ENUM_MAX_BOUNDARY}"
-        )
-    aug, t, node_map = augmented_subgraph(g, p, k)
-    position = {int(orig): new for new, orig in enumerate(node_map[:-1])}
+    sub, node_map = induced_subgraph(g, p.nodes_in(k))
+    position = {int(orig): new for new, orig in enumerate(node_map)}
     labeled = position[int(labeled_node)]
-    forced = [position[int(b)] for b in bnodes if position[int(b)] != labeled]
-    intra = [(int(u), int(v)) for u, v in aug.edges if t not in (int(u), int(v))]
-    unbounded = infinite_capacity([1] * (2 * len(intra)) + [2] * (2 * len(forced)))
-    base_arcs = []
-    for u, v in intra:
-        base_arcs.append((u, v, 0, 1))
-        base_arcs.append((v, u, 0, 1))
-    base_arcs.append((labeled, t, 0, unbounded))
-    base_arcs.append((t, labeled, 0, unbounded))
-    for pattern in range(1 << len(forced)):
-        arcs = list(base_arcs)
-        for bit, b in enumerate(forced):
-            if (pattern >> bit) & 1:
-                arcs.append((t, b, 2, 2))  # weight +2: push into the boundary node
-            else:
-                arcs.append((b, t, 2, 2))  # weight -2: pull out of it
-        if not circulation_feasible(aug.num_nodes, arcs):
-            return False
-    return True
+    forced = [position[int(b)] for b in boundary_nodes(g, p, k)]
+    forced = [b for b in forced if b != labeled]
+    if not forced:
+        return True
+    source = sub.num_nodes
+    tails = np.concatenate([sub.heads, sub.tails, np.full(len(forced), source)])
+    heads = np.concatenate([sub.tails, sub.heads, forced])
+    caps = np.concatenate(
+        [np.ones(2 * sub.num_edges, dtype=np.int64), np.full(len(forced), 2)]
+    )
+    value, _, _ = min_cut(sub.num_nodes + 1, tails, heads, caps, source, labeled)
+    return value == 2 * len(forced)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +408,7 @@ class ClusterChecks:
     spectral_cut_bound_rhs: float
     spectral_cut_bound_holds: bool
     subset_cut_holds: bool | None  # None = not checked (guard)
-    wellconnected_holds: bool | None  # None = not checked (guard)
+    wellconnected_holds: bool
     uniform_cut_by_seed: tuple[tuple[int, bool], ...]
     wellconnected_by_seed: tuple[tuple[int, bool], ...]
     condition: ClusterCondition
@@ -427,12 +454,8 @@ def analyze_instance(
         except EnumerationGuardError:
             subset_holds = None
             uniform_by_seed = ()
-        try:
-            wc_by_seed = tuple((i, well_connected(g, truth, k, i)) for i in seeds_k)
-            wc_holds = any(flag for _, flag in wc_by_seed)
-        except EnumerationGuardError:
-            wc_by_seed = ()
-            wc_holds = None
+        wc_by_seed = tuple((i, well_connected(g, truth, k, i)) for i in seeds_k)
+        wc_holds = any(flag for _, flag in wc_by_seed)
         rows.append(
             ClusterChecks(
                 cluster=k,

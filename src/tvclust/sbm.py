@@ -222,6 +222,13 @@ def read_instance(in_dir) -> SbmInstance:
         raise InstanceFormatError(f"header n={n} but sizes sum to {params.num_nodes}")
     graph = read_edge_list(src / EDGES_FILE, num_nodes=n)
     truth = read_partition(src / PARTITION_FILE)
+    if truth.num_nodes != n:
+        raise InstanceFormatError(
+            f"header n={n} but the partition covers {truth.num_nodes} nodes"
+        )
+    bad = [node for node in seed_nodes if not 0 <= node < n]
+    if bad:
+        raise InstanceFormatError(f"seed ids {bad} in {header_path} outside 0..{n - 1}")
     groups: list[list[int]] = [[] for _ in range(truth.num_clusters)]
     for node in seed_nodes:
         groups[int(truth.assignment[node]) - 1].append(node)

@@ -31,6 +31,7 @@ their initial value (0, or the clamped seed value).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.max_iters:
             raise ValueError("burn_in must lie in 0..max_iters-1")
 

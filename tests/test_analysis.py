@@ -25,6 +25,7 @@ from tvclust.analysis import (
 from tvclust.clustering import accuracy, cluster
 from tvclust.graphs import (
     Partition,
+    boundary_nodes,
     build_graph,
     contiguous_partition,
     induced_subgraph,
@@ -47,6 +48,46 @@ def brute_force_min_tv(g, seeds):
         tv = total_variation(g, x)
         best = tv if best is None else min(best, tv)
     return best
+
+
+def hoffman_condition_holds(num_nodes, arcs):
+    """Hoffman's condition checked by enumerating every node subset."""
+    for r in range(1, num_nodes):
+        for subset in itertools.combinations(range(num_nodes), r):
+            inside = set(subset)
+            lo_in = sum(lo for u, v, lo, hi in arcs if u not in inside and v in inside)
+            hi_out = sum(hi for u, v, lo, hi in arcs if u in inside and v not in inside)
+            if lo_in > hi_out:
+                return False
+    return True
+
+
+def well_connected_by_patterns(g, p, k, labeled_node):
+    """Every +-2 pattern on the boundary less the labeled node is a circulation.
+
+    Cluster k's nodes plus an auxiliary node t: unit arcs both ways on every
+    intra-cluster edge, free arcs between t and the labeled node, and for
+    each other boundary node b a forced flow of 2 along t -> b (+2) or
+    b -> t (-2).  Each pattern is decided by Hoffman's subset condition.
+    """
+    sub, node_map = induced_subgraph(g, p.nodes_in(k))
+    position = {int(orig): new for new, orig in enumerate(node_map)}
+    labeled = position[labeled_node]
+    forced = [position[int(b)] for b in boundary_nodes(g, p, k)]
+    forced = [b for b in forced if b != labeled]
+    t = sub.num_nodes
+    free = 2 * sub.num_edges + 2 * len(forced) + 1
+    base = [(int(u), int(v), 0, 1) for u, v in sub.edges]
+    base += [(int(v), int(u), 0, 1) for u, v in sub.edges]
+    base += [(labeled, t, 0, free), (t, labeled, 0, free)]
+    for signs in itertools.product((1, -1), repeat=len(forced)):
+        arcs = base + [
+            (t, b, 2, 2) if sign > 0 else (b, t, 2, 2)
+            for sign, b in zip(signs, forced)
+        ]
+        if not hoffman_condition_holds(t + 1, arcs):
+            return False
+    return True
 
 
 def complete_graph(n):
@@ -91,6 +132,15 @@ class TestOracle:
             x = res.signal.copy()
             assert all(x[i] == v for i, v in seeds.items())
             assert total_variation(g, x) == res.optimal_tv
+
+    def test_long_path(self):
+        # one augmenting path through every node; no recursion limit applies
+        n = 100_000
+        g = build_graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+        res = mincut_tv_oracle(g, {0: 1.0, n - 1: 0.0})
+        assert res.optimal_tv == 1
+        assert res.cut_unique is False
+        assert_array_equal(np.flatnonzero(res.signal), [0])
 
     def test_uniqueness_flag(self):
         # path 0-1-2 with ends seeded: both internal edges are minimum cuts
@@ -233,11 +283,28 @@ class TestWellConnected:
         p = Partition(np.array([1, 1, 2]), 2)
         assert well_connected(g, p, 1, labeled_node=1)
 
-    def test_guard(self):
+    def test_large_boundary_decided(self):
+        # 18 boundary nodes, no enumeration: the 17 others would send 34
+        # units into the labeled node, whose 17 intra-cluster edges carry 17
         g = complete_graph(20)
         p = contiguous_partition([18, 2])
-        with pytest.raises(EnumerationGuardError):
-            well_connected(g, p, 1, labeled_node=0)
+        assert not well_connected(g, p, 1, labeled_node=0)
+
+    def test_matches_pattern_enumeration(self):
+        # Hoffman's condition on every +-2 pattern against the one flow
+        rng = np.random.default_rng(41)
+        verdicts = {True: 0, False: 0}
+        for _ in range(100):
+            sizes = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+            g, p = generate(
+                SbmParams(sizes, 0.8, 0.15), rng_seed=int(rng.integers(2**63))
+            )
+            for k in (1, 2):
+                labeled = int(rng.choice(p.nodes_in(k)))
+                got = well_connected(g, p, k, labeled)
+                assert got == well_connected_by_patterns(g, p, k, labeled)
+                verdicts[got] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
 
     def test_subset_condition_implies_well_connected(self):
         # empirical direction of the sufficient-condition result, exercised
@@ -409,4 +476,4 @@ class TestAnalyzeInstance:
         )
         report = analyze_instance(inst)
         assert report.clusters[0].subset_cut_holds is None
-        assert report.clusters[0].wellconnected_holds is None
+        assert isinstance(report.clusters[0].wellconnected_holds, bool)

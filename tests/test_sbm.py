@@ -167,6 +167,28 @@ class TestInstance:
         with pytest.raises(InstanceFormatError):
             read_instance(tmp_path)
 
+    def test_partition_shorter_than_header(self, tmp_path):
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=1, rng_seed=5)
+        write_instance(inst, tmp_path)
+        partition = tmp_path / "partition.txt"
+        lines = partition.read_text().splitlines()
+        partition.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(InstanceFormatError, match="partition covers 11"):
+            read_instance(tmp_path)
+
+    @pytest.mark.parametrize("bad_id", ["-1", "12"])
+    def test_seed_id_out_of_range(self, tmp_path, bad_id):
+        # the cluster-2 seed replaced: -1 would wrap to node 11, itself in
+        # cluster 2, and 12 lies past the last of the 12 nodes
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=1, rng_seed=5)
+        write_instance(inst, tmp_path)
+        header = tmp_path / "header.txt"
+        one, two = inst.seeds.all_nodes
+        text = header.read_text().replace(f"seeds={one},{two}", f"seeds={one},{bad_id}")
+        header.write_text(text)
+        with pytest.raises(InstanceFormatError, match="outside"):
+            read_instance(tmp_path)
+
     def test_permutation_preserves_structure(self):
         inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=2, rng_seed=13)
         shuffled = permute_instance(inst, rng_seed=3)

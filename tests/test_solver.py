@@ -96,6 +96,17 @@ class TestIterate:
         assert_array_equal(state.x_cur, before)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)
+
+    def test_bad_max_iters_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iters=0)
+
+
 class TestSolve:
     def test_two_disjoint_triangles(self):
         g = build_graph(6, TRIANGLES)
