@@ -30,7 +30,6 @@ from tvclust.clustering import (
 from tvclust.graphs import (
     Graph,
     Partition,
-    augmented_subgraph,
     boundary_edge_count,
     boundary_nodes,
     build_graph,
@@ -81,7 +80,6 @@ __all__ = [
     "algebraic_connectivity",
     "algebraic_connectivity_of_graph",
     "analyze_instance",
-    "augmented_subgraph",
     "boundary_concentration_bound",
     "boundary_edge_count",
     "boundary_nodes",

@@ -93,20 +93,36 @@ def _merged(args: argparse.Namespace, key: str, default=None):
     return default
 
 
-def _require(args, key, convert, default=None):
-    value = _merged(args, key, default)
+def _convert(key: str, value, convert):
+    """Convert a flag or config-file string; a value it rejects is a usage error."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise CliUsageError(
+            f"bad value {value!r} for --{key.replace('_', '-')}: {exc}"
+        ) from None
+
+
+def _value(args, key, convert, default=None):
+    """Converted CLI or config-file value, else the default."""
+    return _convert(key, _merged(args, key, default), convert)
+
+
+def _require(args, key, convert):
+    value = _merged(args, key)
     if value is None:
         raise CliUsageError(f"missing required option --{key.replace('_', '-')}")
-    return convert(value) if isinstance(value, str) else value
+    return _convert(key, value, convert)
 
 
 def _resolve_sizes(args) -> tuple[int, ...]:
-    sizes = _merged(args, "sizes")
-    nodes = _merged(args, "nodes")
+    sizes = _value(args, "sizes", _parse_sizes)
+    n = _value(args, "nodes", int)
     if sizes is not None:
-        return _parse_sizes(sizes) if isinstance(sizes, str) else sizes
-    if nodes is not None:
-        n = int(nodes)
+        return sizes
+    if n is not None:
         if n % 2:
             raise CliUsageError("--nodes requires an even count (two equal clusters)")
         return (n // 2, n // 2)
@@ -115,8 +131,8 @@ def _resolve_sizes(args) -> tuple[int, ...]:
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
-        max_iters=int(_merged(args, "max_iters", 2000)),
-        tol=float(_merged(args, "tol", 1e-6)),
+        max_iters=_value(args, "max_iters", int, 2000),
+        tol=_value(args, "tol", float, 1e-6),
     )
 
 
@@ -196,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     sizes = _resolve_sizes(args)
-    params = SbmParams(sizes, float(_require(args, "p_in", float)),
-                       float(_require(args, "p_out", float)))
-    rng_seed = int(_require(args, "rng_seed", int))
-    s = int(_require(args, "num_seeds", int))
+    params = SbmParams(sizes, _require(args, "p_in", float),
+                       _require(args, "p_out", float))
+    rng_seed = _require(args, "rng_seed", int)
+    s = _require(args, "num_seeds", int)
     out = _require(args, "out", str)
     instance = generate_instance(params, s, rng_seed)
     if args.permute:
@@ -217,11 +233,10 @@ def cmd_cluster(args) -> int:
         instance = read_instance(_merged(args, "instance"))
     else:
         sizes = _resolve_sizes(args)
-        params = SbmParams(sizes, float(_require(args, "p_in", float)),
-                           float(_require(args, "p_out", float)))
+        params = SbmParams(sizes, _require(args, "p_in", float),
+                           _require(args, "p_out", float))
         instance = generate_instance(
-            params, int(_require(args, "num_seeds", int)),
-            int(_require(args, "rng_seed", int)),
+            params, _require(args, "num_seeds", int), _require(args, "rng_seed", int)
         )
     result = cluster(instance.graph, instance.seeds.labels(), _solver_config(args))
     acc = accuracy(result, instance.truth, instance.seeds)
@@ -237,13 +252,13 @@ def cmd_cluster(args) -> int:
 def cmd_sweep(args) -> int:
     config = SweepConfig(
         cluster_sizes=_resolve_sizes(args),
-        p_out=float(_require(args, "p_out", float)),
+        p_out=_require(args, "p_out", float),
         p_in_grid=_require(args, "p_in_grid", _parse_probability_grid),
         s_values=_require(args, "num_seeds", _parse_ints),
-        reps=int(_require(args, "reps", int)),
-        rng_seed=int(_require(args, "rng_seed", int)),
-        max_iters=int(_merged(args, "max_iters", 2000)),
-        tol=float(_merged(args, "tol", 1e-6)),
+        reps=_require(args, "reps", int),
+        rng_seed=_require(args, "rng_seed", int),
+        max_iters=_value(args, "max_iters", int, 2000),
+        tol=_value(args, "tol", float, 1e-6),
     )
     out = _require(args, "out", str)
     threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
@@ -273,8 +288,8 @@ def cmd_analyze(args) -> int:
     instance = read_instance(_merged(args, "instance"))
     report = analyze_instance(
         instance,
-        alpha=float(_merged(args, "alpha", 0.1)),
-        beta=float(_merged(args, "beta", 1e-3)),
+        alpha=_value(args, "alpha", float, 0.1),
+        beta=_value(args, "beta", float, 1e-3),
     )
     out = _merged(args, "out")
     if args.format == "text":
@@ -300,14 +315,14 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.config_values = (
-        _read_config_file(args.config) if getattr(args, "config", None) else {}
-    )
     try:
+        args.config_values = (
+            _read_config_file(args.config) if getattr(args, "config", None) else {}
+        )
         return COMMANDS[args.command](args)
     except Exception as exc:  # named errors surface in the exit message
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CliUsageError) else 1
 
 
 if __name__ == "__main__":

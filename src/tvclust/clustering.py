@@ -1,10 +1,10 @@
 """One-vs-rest cluster assignment driver.
 
 For each cluster k the labeled nodes define a 0/1 indicator target (1 on
-seeds of cluster k, 0 on every other seed); one TV-minimization solve per
-cluster produces an averaged indicator estimate, and every node is
-assigned to the cluster whose estimate is largest.  Exact ties go to the
-smallest cluster index, which keeps the decoding deterministic and
+seeds of cluster k, 0 on every other seed); the K TV-minimization solves
+run as one batch, each produces an averaged indicator estimate, and every
+node is assigned to the cluster whose estimate is largest.  Exact ties go
+to the smallest cluster index, which keeps the decoding deterministic and
 independent of evaluation order.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from tvclust.graphs import Graph, Partition
 from tvclust.sbm import SeedSet
-from tvclust.solver import SolveDiagnostics, SolverConfig, solve
+from tvclust.solver import SolveDiagnostics, SolverConfig, solve_batch
 
 
 class SeedLabelError(ValueError):
@@ -64,19 +64,18 @@ def cluster(
 ) -> ClusteringResult:
     """Run K independent indicator solves and decode by argmax.
 
-    The K solves share the immutable graph and are order-independent;
-    np.argmax on the stacked score matrix breaks exact ties toward the
-    smallest cluster index.
+    The K solves share the immutable graph and run as one batch, in which
+    each row gives exactly the result of its own solve; np.argmax on the
+    stacked score matrix breaks exact ties toward the smallest cluster
+    index.
     """
     k_max = _check_labels(seed_labels)
-    scores = np.empty((k_max, g.num_nodes))
-    diagnostics = []
-    for k in range(1, k_max + 1):
-        x_bar, diag = solve(g, indicator_targets(seed_labels, k), config)
-        scores[k - 1] = x_bar
-        diagnostics.append(diag)
+    seed_ids = sorted(seed_labels)
+    targets = (indicator_targets(seed_labels, k) for k in range(1, k_max + 1))
+    values = np.array([[t[i] for i in seed_ids] for t in targets])
+    scores, diagnostics = solve_batch(g, seed_ids, values, config)
     assignment = np.argmax(scores, axis=0) + 1
-    return ClusteringResult(assignment, scores, tuple(diagnostics))
+    return ClusteringResult(assignment, scores, diagnostics)
 
 
 def accuracy(

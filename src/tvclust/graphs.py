@@ -307,27 +307,6 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
     return build_graph(nodes.size, sub_edges), nodes
 
 
-def augmented_subgraph(
-    g: Graph, p: Partition, k: int
-) -> tuple[Graph, int, np.ndarray]:
-    """Cluster k's induced subgraph plus an auxiliary node tied to its boundary.
-
-    Returns (graph, t, node_map): `t` is the new auxiliary node's id (the
-    largest id), joined by one edge to every boundary node of cluster k;
-    node_map[new_id] = original id for the cluster nodes, and
-    node_map[t] = -1.
-    """
-    members = p.nodes_in(k)
-    sub, node_map = induced_subgraph(g, members)
-    t = sub.num_nodes
-    bnodes = boundary_nodes(g, p, k)
-    pos = {int(orig): new for new, orig in enumerate(node_map)}
-    extra = [(pos[int(b)], t) for b in bnodes]
-    all_edges = np.vstack([sub.edges, np.asarray(extra, dtype=np.int64).reshape(-1, 2)])
-    aug = build_graph(t + 1, all_edges)
-    return aug, t, np.concatenate([node_map, [-1]])
-
-
 def _check_partition_size(g: Graph, p: Partition) -> None:
     if p.num_nodes != g.num_nodes:
         raise PartitionError(
@@ -339,20 +318,35 @@ def _check_partition_size(g: Graph, p: Partition) -> None:
 # File formats: edge lists and partitions as plain text
 # ---------------------------------------------------------------------------
 
+def _read_int_pairs(path, error: type[ValueError]) -> list[tuple[int, int]]:
+    """The two integers of every line but '#' comments and blank lines.
+
+    A line that does not hold exactly two integers raises `error`, naming
+    the file and the line number.
+    """
+    pairs = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise error(
+                    f"{path}:{lineno}: expected two integers, got {line!r}"
+                ) from None
+            pairs.append((i, j))
+    return pairs
+
+
 def read_edge_list(path, num_nodes: int | None = None) -> Graph:
     """Read a graph from a text file: one `i j` pair per line (0-based ids).
 
     Lines starting with '#' and blank lines are ignored.  If num_nodes is
     not given it is inferred as max id + 1.
     """
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            i, j = line.split()
-            pairs.append((int(i), int(j)))
+    pairs = _read_int_pairs(path, GraphInputError)
     if num_nodes is None:
         if not pairs:
             raise GraphInputError(f"{path}: empty edge list and no num_nodes")
@@ -369,13 +363,10 @@ def write_edge_list(path, g: Graph) -> None:
 def read_partition(path) -> Partition:
     """Read `node_id cluster_index` lines (clusters 1-based)."""
     entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            node, c = line.split()
-            entries[int(node)] = int(c)
+    for node, c in _read_int_pairs(path, PartitionError):
+        if node in entries:
+            raise PartitionError(f"{path}: node {node} listed more than once")
+        entries[node] = c
     if not entries:
         raise PartitionError(f"{path}: empty partition file")
     n = max(entries) + 1

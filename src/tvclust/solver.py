@@ -1,29 +1,45 @@
 """Primal-dual message passing for seed-constrained TV minimization.
 
 Finds a signal of minimum total variation among all signals that take
-prescribed values on a labeled node set M.  Each sweep is two-phase bulk
-synchronous: an edge phase updates all dual messages from the extrapolated
-primal iterate, then a node phase applies the degree-scaled descent step
-and re-clamps the labeled nodes.  In order, one sweep computes
+prescribed values on a labeled node set M.  One kernel,
+:func:`solve_batch`, runs K such problems at once: they share the graph
+and the labeled node ids, and row k of a (K, S) matrix gives problem k's
+labeled values (``cluster()`` passes its K one-vs-rest indicator targets).
+The K primal iterates form one (K, N) array and the dual messages one
+(K, E) array, allocated once and updated in place.  Each sweep is
+two-phase bulk synchronous: an edge phase updates all dual messages from
+the extrapolated primal iterate, then a node phase applies the
+degree-scaled descent step and re-clamps the labeled nodes.  In order, one
+sweep computes, row by row,
 
     x~_i  = 2 x_i - x_i^prev                      (extrapolation)
     y_e  += (1/2) (x~_head - x~_tail), then clip y_e to [-1, 1]
     x_i  -= gamma_i * (sum_{e: head=i} y_e - sum_{e: tail=i} y_e)
     x_i   = value_i  for labeled i                (exact constraint)
-    xbar  = (1 - 1/r) xbar + (1/r) x              (running average, new r)
 
 with fixed step sizes: 1/2 on edges and gamma_i = 1/d_i on nodes (the
 diagonally preconditioned primal-dual splitting, which converges for this
-operator scaling).  The solver reports a running average of the primal
-iterates, whose labeled entries are clamped too (a mathematical no-op that
-keeps the constraint residual exactly zero in floating point).
+operator scaling).  Row k's edges are gathered at heads + k N and
+tails + k N of the flattened iterate, and the divergence of all rows is
+one ``np.bincount`` over the flattened heads minus one over the flattened
+tails.  ``bincount`` adds its weights in input order, so every row is
+summed in exactly the order of a one-row solve: a row's result does not
+depend on K or on the other rows.
 
 A from-scratch average remembers the start-up transient forever (its error
-decays only like 1/r even after the iterates have settled), so
-:func:`solve` by default discards the first ``burn_in`` sweeps and averages
-the remainder; ``burn_in=0`` gives the plain average over every sweep.
-:func:`iterate` itself always maintains the plain from-start average in
-``SolverState.x_bar``.
+decays only like 1/r even after the iterates have settled), so the solver
+discards the first ``burn_in`` sweeps and reports the average of the
+remaining primal iterates; ``burn_in=0`` averages from the first sweep.
+Its labeled entries are clamped too (a mathematical no-op that keeps the
+constraint residual exactly zero in floating point).  A row stops when
+its average moves by less than ``tol`` in sup norm over one sweep; it
+then leaves the batch with its own sweep count, so no row runs more
+sweeps than it would alone.
+
+:func:`solve` is the one-problem case.  :func:`initialize` and
+:func:`iterate` expose a single sweep on an immutable
+:class:`SolverState` for tracing by hand; ``iterate`` runs the same sweep
+code and also keeps the plain from-start average in ``SolverState.x_bar``.
 
 Isolated nodes have no messages; they keep gamma_i = 1 and simply hold
 their initial value (0, or the clamped seed value).
@@ -89,55 +105,190 @@ class SolveDiagnostics:
         )
 
 
-def _seed_arrays(g: Graph, seed_values: dict) -> tuple[np.ndarray, np.ndarray]:
-    if not seed_values:
+def _check_seeds(g: Graph, ids: np.ndarray, values: np.ndarray) -> None:
+    """ids: ascending labeled node ids (S,); values: one row per problem (K, S)."""
+    if ids.size == 0:
         raise SeedValuesError("labeled node set must be nonempty")
-    idx = np.asarray(sorted(seed_values), dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= g.num_nodes:
+    if ids.ndim != 1 or (np.diff(ids) <= 0).any():
+        raise SeedValuesError("labeled node ids must be distinct and ascending")
+    if ids[0] < 0 or ids[-1] >= g.num_nodes:
         raise SeedValuesError(f"labeled node id outside 0..{g.num_nodes - 1}")
-    vals = np.asarray([float(seed_values[int(i)]) for i in idx])
-    if not np.isfinite(vals).all():
+    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] != ids.size:
+        raise SeedValuesError(
+            f"labeled values have shape {values.shape}, expected (K >= 1, {ids.size})"
+        )
+    if not np.isfinite(values).all():
         raise SeedValuesError("labeled values must be finite")
-    return idx, vals
+
+
+def _seed_arrays(g: Graph, seed_values: dict) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.asarray(sorted(seed_values), dtype=np.int64)
+    values = np.asarray([float(seed_values[int(i)]) for i in ids])
+    _check_seeds(g, ids, values[None, :])
+    return ids, values
+
+
+def _step_sizes(g: Graph) -> np.ndarray:
+    gamma = np.ones(g.num_nodes)
+    nonzero = g.degrees > 0
+    gamma[nonzero] = 1.0 / g.degrees[nonzero]
+    return gamma
+
+
+class _Sweeper:
+    """Step sizes, flattened edge and seed indices and a work buffer for k rows."""
+
+    def __init__(self, g: Graph, seed_ids: np.ndarray, rows: int):
+        offsets = np.arange(rows, dtype=np.int64)[:, None] * g.num_nodes
+        self.heads = (g.heads + offsets).ravel()
+        self.tails = (g.tails + offsets).ravel()
+        self.seeds = (seed_ids + offsets).ravel()
+        self.gamma = _step_sizes(g)
+        self.x_tilde = np.empty((rows, g.num_nodes))
+
+    def keep_rows(self, k: int) -> None:
+        """Sweep only the k leading rows from now on."""
+        rows = len(self.x_tilde)
+        self.heads = self.heads[: self.heads.size // rows * k]
+        self.tails = self.tails[: self.tails.size // rows * k]
+        self.seeds = self.seeds[: self.seeds.size // rows * k]
+        self.x_tilde = self.x_tilde[:k]
+
+    def sweep(self, x_prev, x_cur, y, seed_values) -> None:
+        """One sweep in place: updates the (k, E) messages y and overwrites
+        x_prev with the new (k, N) iterate; the caller then swaps x_prev and
+        x_cur.  All arrays are C-contiguous, seed_values is (k, S).
+        """
+        x_tilde = self.x_tilde
+        np.multiply(x_cur, 2.0, out=x_tilde)
+        x_tilde -= x_prev
+        x_flat = x_tilde.reshape(-1)
+        diff = x_flat[self.heads]
+        diff -= x_flat[self.tails]
+        diff *= 0.5
+        y_flat = y.reshape(-1)
+        y_flat += diff
+        np.clip(y_flat, -1.0, 1.0, out=y_flat)
+        divergence = np.bincount(self.heads, weights=y_flat, minlength=x_flat.size)
+        divergence -= np.bincount(self.tails, weights=y_flat, minlength=x_flat.size)
+        divergence = divergence.reshape(x_tilde.shape)
+        divergence *= self.gamma
+        np.subtract(x_cur, divergence, out=x_prev)
+        x_prev.reshape(-1)[self.seeds] = seed_values.reshape(-1)
 
 
 def initialize(g: Graph, seed_values: dict) -> SolverState:
     """Zero state: both primal iterates, all duals and the average at 0."""
     _seed_arrays(g, seed_values)
-    gamma = np.ones(g.num_nodes)
-    nonzero = g.degrees > 0
-    gamma[nonzero] = 1.0 / g.degrees[nonzero]
     return SolverState(
         x_prev=np.zeros(g.num_nodes),
         x_cur=np.zeros(g.num_nodes),
         y=np.zeros(g.num_edges),
         x_bar=np.zeros(g.num_nodes),
         r=0,
-        gamma=gamma,
+        gamma=_step_sizes(g),
     )
 
 
 def iterate(state: SolverState, g: Graph, seed_values: dict) -> SolverState:
     """One full sweep; returns a fresh state, inputs untouched."""
-    idx, vals = _seed_arrays(g, seed_values)
-    x_tilde = 2.0 * state.x_cur - state.x_prev
-    y = state.y + 0.5 * (x_tilde[g.heads] - x_tilde[g.tails])
-    np.clip(y, -1.0, 1.0, out=y)
-    divergence = np.bincount(g.heads, weights=y, minlength=g.num_nodes)
-    divergence -= np.bincount(g.tails, weights=y, minlength=g.num_nodes)
-    x_new = state.x_cur - state.gamma * divergence
-    x_new[idx] = vals
+    ids, values = _seed_arrays(g, seed_values)
+    x_new = state.x_prev[None, :].copy()
+    y = state.y[None, :].copy()
+    _Sweeper(g, ids, 1).sweep(x_new, state.x_cur[None, :], y, values[None, :])
     r = state.r + 1
-    x_bar = (1.0 - 1.0 / r) * state.x_bar + (1.0 / r) * x_new
-    x_bar[idx] = vals
+    x_bar = (1.0 - 1.0 / r) * state.x_bar + (1.0 / r) * x_new[0]
+    x_bar[ids] = values
     return SolverState(
         x_prev=state.x_cur,
-        x_cur=x_new,
-        y=y,
+        x_cur=x_new[0],
+        y=y[0],
         x_bar=x_bar,
         r=r,
         gamma=state.gamma,
     )
+
+
+def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the kept leading rows of a to its front; returns the shorter view."""
+    n = int(keep.sum())
+    a[:n] = a[keep]
+    return a[:n]
+
+
+def solve_batch(
+    g: Graph,
+    seed_ids: np.ndarray,
+    seed_values: np.ndarray,
+    config: SolverConfig = SolverConfig(),
+) -> tuple[np.ndarray, tuple[SolveDiagnostics, ...]]:
+    """Solve K problems with shared labeled nodes, one per row of seed_values.
+
+    seed_ids holds the S labeled node ids in ascending order and the
+    (K, S) seed_values their values per problem.  Returns the (K, N)
+    matrix whose row k averages problem k's primal iterates of sweeps
+    burn_in+1 .. r, and one diagnostics entry per row.  Non-convergence
+    within max_iters is not an error (the problem always has a solution);
+    it is reported through the `converged` flag.
+    """
+    seed_ids = np.asarray(seed_ids, dtype=np.int64)
+    seed_values = np.asarray(seed_values, dtype=np.float64)
+    _check_seeds(g, seed_ids, seed_values)
+    k, n = seed_values.shape[0], g.num_nodes
+    burn_in = config.effective_burn_in
+    sweeper = _Sweeper(g, seed_ids, k)
+    x_prev, x_cur = np.zeros((k, n)), np.zeros((k, n))
+    y = np.zeros((k, g.num_edges))
+    tail_sum = np.zeros((k, n))
+    out_bar, prev_bar = np.zeros((k, n)), np.zeros((k, n))
+    values = seed_values.copy()
+    rows = np.arange(k)  # the problem each active row solves
+    scores = np.empty((k, n))
+    iters = np.full(k, config.max_iters)
+    converged = np.zeros(k, dtype=bool)
+    histories = [[] for _ in range(k)]
+    for r in range(1, config.max_iters + 1):
+        sweeper.sweep(x_prev, x_cur, y, values)
+        x_prev, x_cur = x_cur, x_prev
+        if config.record_history:
+            for row, x in zip(rows, x_cur):
+                histories[row].append(x.copy())
+        if r <= burn_in:
+            continue
+        tail_sum += x_cur
+        prev_bar, out_bar = out_bar, prev_bar
+        np.divide(tail_sum, r - burn_in, out=out_bar)
+        if r - burn_in < 2:
+            continue
+        change = np.abs(np.subtract(out_bar, prev_bar, out=prev_bar)).max(axis=1)
+        stop = change < config.tol
+        if not stop.any():
+            continue
+        done = rows[stop]
+        scores[done] = out_bar[stop]
+        iters[done] = r
+        converged[done] = True
+        keep = ~stop
+        x_prev, x_cur, y, tail_sum, out_bar, values, rows = (
+            _compact(a, keep) for a in (x_prev, x_cur, y, tail_sum, out_bar, values, rows)
+        )
+        prev_bar = prev_bar[: rows.size]
+        sweeper.keep_rows(rows.size)
+        if rows.size == 0:
+            break
+    scores[rows] = out_bar
+    scores[:, seed_ids] = seed_values  # exact by construction; remove float dust
+    diagnostics = tuple(
+        SolveDiagnostics(
+            iters=int(iters[j]),
+            tv_final=total_variation(g, scores[j]),
+            converged=bool(converged[j]),
+            residual_sup=float(np.abs(scores[j, seed_ids] - seed_values[j]).max()),
+            x_hat_history=tuple(histories[j]),
+        )
+        for j in range(k)
+    )
+    return scores, diagnostics
 
 
 def solve(
@@ -145,41 +296,12 @@ def solve(
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Run sweeps until the reported average stalls or max_iters is reached.
 
-    Returns (x_bar, diagnostics) where x_bar averages the primal iterates
-    of sweeps burn_in+1 .. r.  Non-convergence within max_iters is not an
-    error (the problem always has a solution); it is reported through the
-    `converged` flag.
+    The one-problem case of :func:`solve_batch`: returns (x_bar,
+    diagnostics) for the labeled values given as a {node: value} dict.
     """
-    idx, vals = _seed_arrays(g, seed_values)
-    burn_in = config.effective_burn_in
-    state = initialize(g, seed_values)
-    history = []
-    tail_sum = np.zeros(g.num_nodes)
-    tail_count = 0
-    out_bar = state.x_bar
-    converged = False
-    for _ in range(config.max_iters):
-        state = iterate(state, g, seed_values)
-        if config.record_history:
-            history.append(state.x_cur.copy())
-        if state.r <= burn_in:
-            continue
-        tail_sum += state.x_cur
-        tail_count += 1
-        prev_bar, out_bar = out_bar, tail_sum / tail_count
-        if tail_count >= 2 and np.abs(out_bar - prev_bar).max() < config.tol:
-            converged = True
-            break
-    out_bar[idx] = vals  # exact by construction; remove float summation dust
-    residual = float(np.abs(out_bar[idx] - vals).max())
-    diagnostics = SolveDiagnostics(
-        iters=state.r,
-        tv_final=total_variation(g, out_bar),
-        converged=converged,
-        residual_sup=residual,
-        x_hat_history=tuple(history),
-    )
-    return out_bar, diagnostics
+    ids, values = _seed_arrays(g, seed_values)
+    scores, diagnostics = solve_batch(g, ids, values[None, :], config)
+    return scores[0], diagnostics[0]
 
 
 def round_to_indicator(x: np.ndarray) -> np.ndarray:

@@ -1,17 +1,21 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import BRIDGE_EDGES, random_graph
 from tvclust.graphs import (
     DuplicateEdgeError,
+    GraphInputError,
     NodeIndexError,
     Partition,
     PartitionError,
     SelfLoopError,
     SignalLengthError,
     UnknownEdgeError,
-    augmented_subgraph,
     boundary_edge_count,
     boundary_nodes,
     build_graph,
@@ -217,30 +221,7 @@ class TestBoundary:
             boundary_nodes(bridge_graph, bridge_partition, 3)
 
 
-class TestAugmentedSubgraph:
-    def test_bridge_cluster_one(self, bridge_graph, bridge_partition):
-        aug, t, node_map = augmented_subgraph(bridge_graph, bridge_partition, 1)
-        assert aug.num_nodes == 5
-        assert t == 4
-        assert_array_equal(node_map, [0, 1, 2, 3, -1])
-        expected = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)}
-        assert set(map(tuple, aug.edges.tolist())) == expected
-
-    def test_no_boundary_isolated_t(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        p = contiguous_partition([2, 2])
-        aug, t, _ = augmented_subgraph(g, p, 1)
-        assert aug.num_nodes == 3
-        assert aug.degrees[t] == 0
-
-    def test_single_node_cluster(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
-        p = Partition(np.array([1, 2, 2]), 2)
-        aug, t, node_map = augmented_subgraph(g, p, 1)
-        assert aug.num_nodes == 2
-        assert aug.edges.tolist() == [[0, 1]]
-        assert node_map[0] == 0 and t == 1
-
+class TestInducedSubgraph:
     def test_induced_subgraph_map(self, bridge_graph):
         sub, node_map = induced_subgraph(bridge_graph, np.array([4, 5, 6, 7]))
         assert sub.num_nodes == 4
@@ -262,6 +243,50 @@ class TestFileFormats:
         g = read_edge_list(path)
         assert g.num_nodes == 3
         assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda e: e[0] != e[1])
+                    .map(lambda e: (min(e), max(e)))
+                ),
+            )
+        )
+    )
+    def test_edge_list_round_trip_random(self, graph_spec):
+        n, pairs = graph_spec
+        g = build_graph(n, list(pairs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.txt"
+            write_edge_list(path, g)
+            back = read_edge_list(path, num_nodes=n)
+        assert back.num_nodes == g.num_nodes
+        assert back.edges.dtype == g.edges.dtype
+        assert_array_equal(back.edges, g.edges)
+
+    @pytest.mark.parametrize("line", ["0 1 2", "0 x", "3", "1 2.5"])
+    def test_edge_list_malformed_line_named(self, tmp_path, line):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"# header\n0 1\n{line}\n")
+        with pytest.raises(GraphInputError, match=r"edges\.txt:3"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["1 a", "2 1 1", "x"])
+    def test_partition_malformed_line_named(self, tmp_path, line):
+        path = tmp_path / "partition.txt"
+        path.write_text(f"0 1\n\n{line}\n")
+        with pytest.raises(PartitionError, match=r"partition\.txt:3"):
+            read_partition(path)
+
+    def test_partition_duplicate_node_named(self, tmp_path):
+        path = tmp_path / "partition.txt"
+        path.write_text("0 1\n1 2\n2 1\n0 2\n")
+        with pytest.raises(PartitionError, match="node 0 listed more than once"):
+            read_partition(path)
 
     def test_partition_round_trip(self, tmp_path, bridge_partition):
         path = tmp_path / "partition.txt"

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_connected_graph
+from tvclust.clustering import cluster, indicator_targets
 from tvclust.graphs import build_graph, total_variation
 from tvclust.solver import (
     SeedValuesError,
@@ -14,6 +15,46 @@ from tvclust.solver import (
 )
 
 TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+
+
+def reference_solve(g, seed_values, config):
+    """One target at a time, every sweep from fresh arrays: the unbatched loop."""
+    idx = np.array(sorted(seed_values))
+    vals = np.array([seed_values[i] for i in idx], dtype=float)
+    n, burn_in = g.num_nodes, config.effective_burn_in
+    gamma = np.ones(n)
+    gamma[g.degrees > 0] = 1.0 / g.degrees[g.degrees > 0]
+    x_prev, x, y = np.zeros(n), np.zeros(n), np.zeros(g.num_edges)
+    tail_sum, out_bar, history, converged = np.zeros(n), np.zeros(n), [], False
+    for r in range(1, config.max_iters + 1):
+        x_tilde = 2.0 * x - x_prev
+        y = np.clip(y + 0.5 * (x_tilde[g.heads] - x_tilde[g.tails]), -1.0, 1.0)
+        divergence = np.bincount(g.heads, weights=y, minlength=n)
+        divergence -= np.bincount(g.tails, weights=y, minlength=n)
+        x_prev, x = x, x - gamma * divergence
+        x[idx] = vals
+        history.append(x.copy())
+        if r <= burn_in:
+            continue
+        tail_sum += x
+        prev_bar, out_bar = out_bar, tail_sum / (r - burn_in)
+        if r - burn_in >= 2 and np.abs(out_bar - prev_bar).max() < config.tol:
+            converged = True
+            break
+    out_bar[idx] = vals
+    return out_bar, r, converged, total_variation(g, out_bar), history
+
+
+def assert_same_as_reference(x_bar, diag, reference):
+    ref_x, ref_iters, ref_converged, ref_tv, ref_history = reference
+    assert_array_equal(x_bar, ref_x)
+    assert diag.iters == ref_iters
+    assert diag.converged == ref_converged
+    assert diag.tv_final == ref_tv
+    if diag.x_hat_history:
+        assert len(diag.x_hat_history) == ref_iters
+        for mine, theirs in zip(diag.x_hat_history, ref_history):
+            assert_array_equal(mine, theirs)
 
 
 class TestInitialize:
@@ -194,6 +235,52 @@ class TestSolve:
             x_bar, diag = solve(g, {0: 1.0, 9: 0.0}, SolverConfig(5000, 1e-10))
             rounded_tv = total_variation(g, round_to_indicator(x_bar))
             assert diag.tv_final <= rounded_tv + 1e-3
+
+
+class TestBatchedKernel:
+    """cluster() and solve() give bit for bit the unbatched reference."""
+
+    CONFIGS = {
+        "default_budget": SolverConfig(max_iters=400),
+        "max_iters_hit": SolverConfig(max_iters=60, tol=0),
+        "history": SolverConfig(max_iters=300, tol=1e-5, record_history=True),
+        "burn_in_zero": SolverConfig(max_iters=300, tol=1e-4, burn_in=0),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_cluster_matches_reference(self, name):
+        config = self.CONFIGS[name]
+        rng = np.random.default_rng(11)
+        distinct_stops = 0
+        for trial in range(8):
+            g = random_connected_graph(rng, 14, 0.3)
+            k_max = 1 + trial % 4
+            ids = rng.choice(14, size=k_max + 2, replace=False)
+            if trial % 2:  # two isolated nodes, the last one labeled
+                g = build_graph(16, g.edges)
+                ids = np.append(ids, 15)
+            labels = {int(i): c % k_max + 1 for c, i in enumerate(ids)}
+            result = cluster(g, labels, config)
+            for k in range(1, k_max + 1):
+                reference = reference_solve(g, indicator_targets(labels, k), config)
+                assert_same_as_reference(
+                    result.scores[k - 1], result.diagnostics[k - 1], reference
+                )
+            distinct_stops += len({d.iters for d in result.diagnostics}) > 1
+        if name == "max_iters_hit":
+            assert distinct_stops == 0
+        else:
+            assert distinct_stops > 0
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_solve_matches_reference(self, name):
+        config = self.CONFIGS[name]
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            g = random_connected_graph(rng, 12, 0.35)
+            seeds = {0: float(rng.normal()), 5: 1.0, 11: 0.0}
+            x_bar, diag = solve(g, seeds, config)
+            assert_same_as_reference(x_bar, diag, reference_solve(g, seeds, config))
 
 
 class TestRounding:

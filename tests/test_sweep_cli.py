@@ -126,7 +126,7 @@ class TestCliGenerate:
         code = main(["generate", "--nodes", "9", "--p-in", "0.5", "--p-out", "0.1",
                      "--num-seeds", "1", "--rng-seed", "0",
                      "--out", str(tmp_path / "x")])
-        assert code == 1
+        assert code == 2
         assert "CliUsageError" in capsys.readouterr().err
 
 
@@ -220,7 +220,20 @@ class TestCliSweep:
 
     def test_missing_option_named_error(self, tmp_path, capsys):
         code = main(["sweep", "--sizes", "8,8", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
+        assert code == 2
+        assert "CliUsageError" in capsys.readouterr().err
+
+    def test_non_numeric_flag_is_usage_error(self, tmp_path, capsys):
+        code = main(self.ARGV[:-1] + ["abc", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "CliUsageError" in err and "--max-iters" in err
+
+    def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sizes=8,8\nreps 2\n")
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
         assert "CliUsageError" in capsys.readouterr().err
 
 
@@ -275,5 +288,5 @@ class TestCliAnalyze:
 
     def test_missing_instance_named_error(self, capsys):
         code = main(["analyze", "--format", "text"])
-        assert code == 1
+        assert code == 2
         assert "CliUsageError" in capsys.readouterr().err
