@@ -4,8 +4,8 @@ Every option can also be supplied through a key=value config file
 (--config); explicit flags win over file values.  All randomness flows
 from --rng-seed, so any command rerun with the same arguments produces
 byte-identical output files.  The worker count for sweeps is taken from
-the TVCLUST_THREADS environment variable (default 1); it never affects
-output content, only speed.
+the TVCLUST_THREADS environment variable (a positive integer, default 1);
+it never affects output content, only speed.
 
 Exit status: 0 on success, 2 on usage errors, 1 on named runtime errors
 (printed as `error: <ErrorClass>: <message>`).
@@ -93,28 +93,38 @@ def _merged(args: argparse.Namespace, key: str, default=None):
     return default
 
 
-def _convert(key: str, value, convert):
-    """Convert a flag or config-file string; a value it rejects is a usage error."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _convert(name: str, value, convert):
+    """Convert a flag, config-file or environment string named `name`; a
+    value that `convert` rejects is a usage error."""
     if not isinstance(value, str):
         return value
     try:
         return convert(value)
     except ValueError as exc:
-        raise CliUsageError(
-            f"bad value {value!r} for --{key.replace('_', '-')}: {exc}"
-        ) from None
+        raise CliUsageError(f"bad value {value!r} for {name}: {exc}") from None
 
 
 def _value(args, key, convert, default=None):
     """Converted CLI or config-file value, else the default."""
-    return _convert(key, _merged(args, key, default), convert)
+    return _convert(_flag(key), _merged(args, key, default), convert)
 
 
 def _require(args, key, convert):
     value = _merged(args, key)
     if value is None:
-        raise CliUsageError(f"missing required option --{key.replace('_', '-')}")
-    return _convert(key, value, convert)
+        raise CliUsageError(f"missing required option {_flag(key)}")
+    return _convert(_flag(key), value, convert)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
 
 
 def _resolve_sizes(args) -> tuple[int, ...]:
@@ -250,6 +260,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    threads = _convert(
+        THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR, "1"), _positive_int
+    )
     config = SweepConfig(
         cluster_sizes=_resolve_sizes(args),
         p_out=_require(args, "p_out", float),
@@ -261,7 +274,6 @@ def cmd_sweep(args) -> int:
         tol=_value(args, "tol", float, 1e-6),
     )
     out = _require(args, "out", str)
-    threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
     started = time.perf_counter()
     rows = run_sweep(config, num_threads=threads, measure_time=args.timing)
     elapsed = time.perf_counter() - started

@@ -59,37 +59,38 @@ class DenseCapExceededError(ValueError):
 class Graph:
     """Immutable undirected graph with oriented edges (head < tail).
 
+    Build one with :func:`build_graph`, which validates the edges.
+
     Attributes
     ----------
     num_nodes : int
-    edges : (E, 2) int64 array, row e = (head, tail) with head < tail
+    edges : (E, 2) int64 array, row e = (head, tail) with head < tail, in
+        input order
     degrees : (N,) int64 array
-    adjacency : tuple of N sorted int64 arrays (neighbors of each node)
+    indptr, indices : CSR adjacency, (N + 1,) and (2E,) int64 arrays; the
+        neighbors of node i are indices[indptr[i]:indptr[i + 1]], ascending
     """
 
-    __slots__ = ("num_nodes", "edges", "degrees", "adjacency", "_edge_index")
+    __slots__ = (
+        "num_nodes", "edges", "degrees", "indptr", "indices", "_codes", "_rows"
+    )
 
-    def __init__(self, num_nodes: int, edges: np.ndarray):
-        self.num_nodes = int(num_nodes)
+    def __init__(
+        self, num_nodes: int, edges: np.ndarray, codes: np.ndarray, rows: np.ndarray
+    ):
+        """`codes` holds head * N + tail of every edge, ascending, and
+        `rows[k]` is the row of `edges` whose code is `codes[k]`."""
+        n = self.num_nodes = int(num_nodes)
         self.edges = edges
-        heads, tails = edges[:, 0], edges[:, 1]
-        deg = np.bincount(heads, minlength=num_nodes) + np.bincount(
-            tails, minlength=num_nodes
-        )
-        self.degrees = deg.astype(np.int64)
-        # adjacency: sort (endpoint, neighbor) pairs once, then slice per node
-        src = np.concatenate([heads, tails])
-        dst = np.concatenate([tails, heads])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        offsets = np.concatenate([[0], np.cumsum(self.degrees)])
-        self.adjacency = tuple(
-            dst[offsets[i] : offsets[i + 1]] for i in range(num_nodes)
-        )
-        self._edge_index = {
-            (int(h), int(t)): e for e, (h, t) in enumerate(edges)
-        }
-        for arr in (self.edges, self.degrees, *self.adjacency):
+        self._codes = codes
+        self._rows = rows
+        # both orientations of every edge, sorted by (node, neighbor)
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        self.indices = dst[np.argsort(src * n + dst)]
+        self.degrees = np.bincount(src, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        for arr in (edges, codes, rows, self.indices, self.degrees, self.indptr):
             arr.flags.writeable = False
 
     @property
@@ -104,20 +105,29 @@ class Graph:
     def tails(self) -> np.ndarray:
         return self.edges[:, 1]
 
+    def _find(self, i: int, j: int) -> int:
+        """Row index of undirected edge {i, j}, or -1 if it is not an edge."""
+        lo, hi = (int(i), int(j)) if i < j else (int(j), int(i))
+        if lo < 0 or hi >= self.num_nodes or lo == hi:
+            return -1
+        code = lo * self.num_nodes + hi
+        k = int(np.searchsorted(self._codes, code))
+        if k < self._codes.size and self._codes[k] == code:
+            return int(self._rows[k])
+        return -1
+
     def edge_id(self, i: int, j: int) -> int:
         """Row index of undirected edge {i, j}; raises UnknownEdgeError."""
-        key = (i, j) if i < j else (j, i)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise UnknownEdgeError(f"{{{i}, {j}}} is not an edge") from None
+        e = self._find(i, j)
+        if e < 0:
+            raise UnknownEdgeError(f"{{{i}, {j}}} is not an edge")
+        return e
 
     def has_edge(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        return key in self._edge_index
+        return self._find(i, j) >= 0
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.adjacency[i]
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -126,13 +136,15 @@ class Graph:
 def build_graph(num_nodes: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a validated Graph from unordered node pairs.
 
-    Each pair {i, j} is stored oriented as (min, max).  Out-of-range ids,
-    self-loops and duplicate edges raise distinct error types; duplicates
-    are treated as corrupt input rather than merged.
+    Each pair {i, j} is stored oriented as (min, max), in input order.
+    Out-of-range ids, self-loops and duplicate edges raise distinct error
+    types; duplicates are treated as corrupt input rather than merged.
     """
     if num_nodes < 1:
         raise GraphInputError(f"num_nodes must be >= 1, got {num_nodes}")
-    pairs = np.asarray(list(edge_list), dtype=np.int64)
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = list(edge_list)
+    pairs = np.asarray(edge_list, dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -148,13 +160,15 @@ def build_graph(num_nodes: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             raise SelfLoopError(f"self-loop at node {int(pairs[loops][0, 0])}")
     oriented = np.sort(pairs, axis=1)
     codes = oriented[:, 0] * num_nodes + oriented[:, 1]
-    uniq, counts = np.unique(codes, return_counts=True)
-    if (counts > 1).any():
-        dup = int(uniq[counts > 1][0])
+    rows = np.argsort(codes)
+    codes = codes[rows]
+    dup = codes[1:] == codes[:-1]
+    if dup.any():
+        code = int(codes[1:][dup][0])
         raise DuplicateEdgeError(
-            f"duplicate edge {{{dup // num_nodes}, {dup % num_nodes}}}"
+            f"duplicate edge {{{code // num_nodes}, {code % num_nodes}}}"
         )
-    return Graph(num_nodes, oriented)
+    return Graph(num_nodes, oriented, codes, rows)
 
 
 def _check_signal(g: Graph, x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Randomness comes from numpy's Philox engine, a counter-based 64-bit
 generator: the Bernoulli variable of node pair (i, j) is read off a fixed
-position of one vectorized draw over all pairs in lexicographic order, so
-the realized graph depends only on (parameters, seed), never on iteration
-or thread order.  Derived streams (graph draw vs. per-cluster seed
+position of one stream of uniforms over all pairs in lexicographic order,
+so the realized graph depends only on (parameters, seed), never on
+iteration or thread order.  `generate` draws that stream in bounded chunks
+of whole rows (`PAIR_CHUNK` pairs), which reads exactly the same uniforms
+as one draw over all pairs while its memory grows with the edges, not with
+the N(N-1)/2 pairs.  Derived streams (graph draw vs. per-cluster seed
 selection) are split with numpy's SeedSequence, which is also how sweep
 drivers should derive per-run seeds.
 
@@ -33,6 +36,14 @@ from tvclust.graphs import (
 HEADER_FILE = "header.txt"
 EDGES_FILE = "edges.txt"
 PARTITION_FILE = "partition.txt"
+
+# Pairs drawn per chunk by `generate` (whole rows, so a chunk may hold one
+# row of up to N - 1 pairs when N - 1 exceeds it).  Fixes the working
+# memory of a draw, about 9 bytes per pair, never its result.  At 8 MB of
+# uniforms a freed chunk also lifts glibc's dynamic mmap threshold above
+# the few-MB arrays later calls allocate (the max-flow oracle's), which
+# then reuse heap pages instead of faulting in fresh mappings per call.
+PAIR_CHUNK = 1 << 20
 
 
 class SbmParamsError(ValueError):
@@ -108,17 +119,40 @@ def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
     """Draw one graph from the block model; bit-reproducible given the seed.
 
     Each unordered pair i < j gets exactly one Bernoulli draw with success
-    probability p_in when both nodes share a cluster and p_out otherwise.
+    probability p_in when both nodes share a cluster and p_out otherwise:
+    pair (i, j) is an edge iff its uniform is below that probability.  The
+    uniforms are read in lexicographic pair order from one Philox stream,
+    in chunks of whole rows of about PAIR_CHUNK pairs, so memory stays
+    O(E + PAIR_CHUNK + N) while the realized graph is the one a single
+    draw over all pairs would give.
     """
     n = params.num_nodes
     truth = contiguous_partition(params.cluster_sizes)
     rng = np.random.Generator(np.random.Philox(rng_seed))
-    iu, ju = np.triu_indices(n, k=1)
-    same = truth.assignment[iu] == truth.assignment[ju]
-    prob = np.where(same, params.p_in, params.p_out)
-    hit = rng.random(iu.size) < prob
-    edges = np.column_stack([iu[hit], ju[hit]])
-    return build_graph(n, edges), truth
+    p_in, p_out = params.p_in, params.p_out
+    p_max = max(p_in, p_out)
+    # row i holds the pairs (i, i+1..n-1) at stream offsets row_start[i]..;
+    # clusters are contiguous id blocks, so the first pairs of a row, those
+    # with j < block_end[i], draw with p_in and the rest with p_out
+    row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
+    block_end = np.cumsum(params.cluster_sizes)[truth.assignment - 1]
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    lo = 0
+    while lo < n - 1:
+        # rows lo..hi-1: as many whole rows as fit in PAIR_CHUNK, at least one
+        hi = np.searchsorted(row_start, row_start[lo] + PAIR_CHUNK, side="right")
+        hi = max(int(hi) - 1, lo + 1)
+        u = rng.random(int(row_start[hi] - row_start[lo]))
+        # u < p(i, j) <= p_max: screen the chunk against p_max, then test
+        # the few candidates against their own probability
+        pos = np.flatnonzero(u < p_max)
+        at = row_start[lo] + pos
+        i = np.searchsorted(row_start, at, side="right") - 1
+        j = i + 1 + at - row_start[i]
+        keep = u[pos] < np.where(j < block_end[i], p_in, p_out)
+        chunks.append(np.column_stack([i[keep], j[keep]]))
+        lo = hi
+    return build_graph(n, np.concatenate(chunks)), truth
 
 
 def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:

@@ -136,7 +136,12 @@ def _step_sizes(g: Graph) -> np.ndarray:
 
 
 class _Sweeper:
-    """Step sizes, flattened edge and seed indices and a work buffer for k rows."""
+    """Step sizes, flattened edge and seed indices and work buffers for k rows.
+
+    The (k, E) edge gathers go to buffers allocated once: a fresh array of
+    that size per sweep costs a page fault per 4 KiB whenever the allocator
+    returns it to the system between sweeps.
+    """
 
     def __init__(self, g: Graph, seed_ids: np.ndarray, rows: int):
         offsets = np.arange(rows, dtype=np.int64)[:, None] * g.num_nodes
@@ -145,6 +150,8 @@ class _Sweeper:
         self.seeds = (seed_ids + offsets).ravel()
         self.gamma = _step_sizes(g)
         self.x_tilde = np.empty((rows, g.num_nodes))
+        self.diff = np.empty(self.heads.size)
+        self.at_tails = np.empty(self.heads.size)
 
     def keep_rows(self, k: int) -> None:
         """Sweep only the k leading rows from now on."""
@@ -153,6 +160,8 @@ class _Sweeper:
         self.tails = self.tails[: self.tails.size // rows * k]
         self.seeds = self.seeds[: self.seeds.size // rows * k]
         self.x_tilde = self.x_tilde[:k]
+        self.diff = self.diff[: self.heads.size]
+        self.at_tails = self.at_tails[: self.heads.size]
 
     def sweep(self, x_prev, x_cur, y, seed_values) -> None:
         """One sweep in place: updates the (k, E) messages y and overwrites
@@ -163,8 +172,10 @@ class _Sweeper:
         np.multiply(x_cur, 2.0, out=x_tilde)
         x_tilde -= x_prev
         x_flat = x_tilde.reshape(-1)
-        diff = x_flat[self.heads]
-        diff -= x_flat[self.tails]
+        # mode="clip" never clips (the indices are in range) and, unlike
+        # the default, writes to `out` without an intermediate copy
+        diff = x_flat.take(self.heads, out=self.diff, mode="clip")
+        diff -= x_flat.take(self.tails, out=self.at_tails, mode="clip")
         diff *= 0.5
         y_flat = y.reshape(-1)
         y_flat += diff

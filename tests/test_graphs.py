@@ -70,6 +70,40 @@ class TestBuildGraph:
                 assert i in g.neighbors(int(j))
             assert g.degrees[i] == nbrs.size
 
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (6, 0.0), (15, 0.1), (25, 0.4)])
+    def test_lookups_match_edge_scan(self, n, p):
+        # edges given shuffled and in random orientation; p = 0 gives E = 0
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            pairs = random_graph(rng, n, p).edges[:, ::-1].copy()
+            rng.shuffle(pairs)
+            flip = rng.random(len(pairs)) < 0.5
+            pairs[flip] = pairs[flip, ::-1]
+            g = build_graph(n, pairs)
+            rows = g.edges.tolist()
+            for i in range(n):
+                scan = {t for h, t in rows if h == i} | {h for h, t in rows if t == i}
+                assert g.neighbors(i).tolist() == sorted(scan)
+            # ids -1 and n + 1 give codes (-1) * n + n + 1 = 0 * n + 1, {0, 1}
+            for i in range(-1, n + 2):
+                for j in range(-1, n + 2):
+                    hits = [e for e, (h, t) in enumerate(rows) if {h, t} == {i, j}]
+                    assert g.has_edge(i, j) == bool(hits)
+                    if hits:
+                        assert g.edge_id(i, j) == hits[0]
+                    else:
+                        with pytest.raises(UnknownEdgeError):
+                            g.edge_id(i, j)
+
+    def test_edge_id_keeps_input_order(self):
+        g = build_graph(6, [(4, 5), (2, 0), (1, 0), (5, 0), (3, 1)])
+        assert g.edges.tolist() == [[4, 5], [0, 2], [0, 1], [0, 5], [1, 3]]
+        assert [g.edge_id(*e) for e in [(5, 4), (0, 2), (1, 0), (0, 5), (3, 1)]] == [
+            0, 1, 2, 3, 4
+        ]
+        assert g.neighbors(0).tolist() == [1, 2, 5]
+        assert g.indptr.tolist() == [0, 3, 5, 6, 7, 8, 10]
+
     def test_orientation_invariant_random(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

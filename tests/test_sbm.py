@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from tvclust import sbm
 from tvclust.sbm import (
     InstanceFormatError,
     SbmParams,
@@ -101,6 +104,83 @@ class TestGenerate:
             c2.append(int(((a[g.heads] == 2) & (a[g.tails] == 2)).sum()))
         corr = np.corrcoef(c1, c2)[0, 1]
         assert abs(corr) < 0.2  # ~N(0, 1/sqrt(200)) under independence
+
+
+def all_pairs_edges(params, rng_seed):
+    """Reference draw: one uniform per pair of the full triu_indices list."""
+    n = params.num_nodes
+    truth = contiguous_partition(params.cluster_sizes)
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    iu, ju = np.triu_indices(n, k=1)
+    same = truth.assignment[iu] == truth.assignment[ju]
+    prob = np.where(same, params.p_in, params.p_out)
+    hit = rng.random(iu.size) < prob
+    return np.column_stack([iu[hit], ju[hit]])
+
+
+def random_params(rng):
+    k = int(rng.integers(1, 6))
+    sizes = tuple(int(n) for n in rng.integers(1, 40, size=k))
+    return SbmParams(sizes, float(rng.random()), float(rng.random()) * 0.3)
+
+
+EDGE_CASES = [
+    SbmParams((1,), 0.5, 0.5),
+    SbmParams((30,), 0.2, 0.9),
+    SbmParams((1, 1, 1, 1), 0.5, 1.0),
+    SbmParams((1, 5, 1), 0.7, 0.2),
+    SbmParams((3, 17, 8, 1, 40), 0.4, 0.05),
+    SbmParams((12, 9), 0.0, 0.0),
+    SbmParams((12, 9), 1.0, 1.0),
+    SbmParams((12, 9), 1.0, 0.0),
+    SbmParams((12, 9), 0.0, 1.0),
+    SbmParams((6, 2, 7), 0.0, 0.3),
+    SbmParams((6, 2, 7), 1.0, 0.3),
+]
+
+
+class TestChunkedDraw:
+    """`generate` reads the same Philox stream as one draw over all pairs."""
+
+    @pytest.mark.parametrize("params", EDGE_CASES)
+    def test_edge_cases_match_all_pairs_draw(self, params):
+        for seed in (0, 7, 2**63 + 11):
+            g, _ = generate(params, seed)
+            expected = all_pairs_edges(params, seed)
+            assert g.edges.dtype == expected.dtype
+            assert_array_equal(g.edges, expected)
+
+    def test_random_draws_match_all_pairs_draw(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            params = random_params(rng)
+            seed = int(rng.integers(2**63))
+            g, _ = generate(params, seed)
+            assert_array_equal(g.edges, all_pairs_edges(params, seed))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 37])
+    def test_small_chunks_match_all_pairs_draw(self, monkeypatch, chunk):
+        # 90 nodes: the first rows hold 89 pairs, more than any chunk here,
+        # and every draw spans many chunks
+        monkeypatch.setattr(sbm, "PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        cases = EDGE_CASES + [SbmParams((30, 45, 15), 0.3, 0.05)]
+        cases += [random_params(rng) for _ in range(10)]
+        for params in cases:
+            g, _ = generate(params, 99)
+            assert_array_equal(g.edges, all_pairs_edges(params, 99))
+
+    def test_memory_is_bounded_by_edges(self):
+        # 6000 nodes hold 18M pairs; the all-pairs draw peaked near 580 MB
+        params = SbmParams((1500,) * 4, 0.01, 1e-5)
+        tracemalloc.start()
+        try:
+            g, _ = generate(params, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges > 40_000
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestSelectSeeds:

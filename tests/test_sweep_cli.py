@@ -182,6 +182,15 @@ class TestCliSweep:
             outputs.append((out.read_bytes(), agg.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("threads", ["x", "2.5", "0", "-1"])
+    def test_bad_thread_count_named(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("TVCLUST_THREADS", threads)
+        out = tmp_path / "sweep.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "CliUsageError" in err and "TVCLUST_THREADS" in err
+        assert not out.exists()
+
     def test_default_aggregate_path(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(self.ARGV + ["--out", str(out)])
