@@ -1,13 +1,14 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_graph
+from tvclust import analysis
 from tvclust.analysis import (
-    EnumerationGuardError,
     OracleInputError,
     algebraic_connectivity,
     algebraic_connectivity_of_graph,
@@ -88,6 +89,60 @@ def well_connected_by_patterns(g, p, k, labeled_node):
         if not hoffman_condition_holds(t + 1, arcs):
             return False
     return True
+
+
+def subset_cuts_by_enumeration(g, p, k, labeled_node):
+    """Both subset-cut verdicts by enumerating all 2^n subsets of cluster k.
+
+    Returns (per-subset, uniform): cut(S) >= 2|S & B| for every nonempty
+    proper S, and cut(S) >= 2|B| for every nonempty S avoiding the labeled
+    node, with B the boundary nodes of cluster k.
+    """
+    sub, node_map = induced_subgraph(g, p.nodes_in(k))
+    position = {int(orig): new for new, orig in enumerate(node_map)}
+    labeled = position[int(labeled_node)]
+    boundary = [position[int(b)] for b in boundary_nodes(g, p, k)]
+    subsets = np.arange(1, (1 << sub.num_nodes) - 1, dtype=np.int64)
+    cut = np.zeros(subsets.size, dtype=np.int64)
+    for u, v in sub.edges:
+        cut += ((subsets >> int(u)) ^ (subsets >> int(v))) & 1
+    in_boundary = np.zeros(subsets.size, dtype=np.int64)
+    for b in boundary:
+        in_boundary += (subsets >> b) & 1
+    avoids_labeled = ((subsets >> labeled) & 1) == 0
+    return (
+        bool((cut >= 2 * in_boundary).all()),
+        bool((cut[avoids_labeled] >= 2 * len(boundary)).all()),
+    )
+
+
+def two_halves_cluster(rng, bottleneck):
+    """Cluster 1 of two dense halves joined by a few edges; node n is outside.
+
+    Up to two nodes per half are wired to the outside node and so form the
+    boundary.  A `bottleneck` draw has one boundary node per half, halves
+    of 5-6 nearly complete nodes and two or three cross edges: the
+    per-subset condition can then hold while the uniform one fails.
+    """
+    n = int(rng.integers(10, 14)) if bottleneck else int(rng.integers(1, 14))
+    half = n // 2 if bottleneck else int(rng.integers(0, n + 1))
+    side = np.arange(n) < half
+    iu, ju = np.triu_indices(n, k=1)
+    same = side[iu] == side[ju]
+    p_same = 0.95 if bottleneck else rng.choice([0.5, 0.8, 1.0])
+    keep = same & (rng.random(iu.size) < p_same)
+    cross = np.flatnonzero(~same)
+    num_cross = int(rng.integers(2, 4)) if bottleneck else int(rng.integers(0, 6))
+    keep[rng.choice(cross, size=min(cross.size, num_cross), replace=False)] = True
+    per_half = 1 if bottleneck else int(rng.integers(0, 3))
+    boundary = [
+        int(b)
+        for part in (np.flatnonzero(side), np.flatnonzero(~side))
+        for b in rng.choice(part, size=min(part.size, per_half), replace=False)
+    ]
+    edges = np.column_stack([iu[keep], ju[keep]]).tolist()
+    edges += [(b, n) for b in boundary]
+    return build_graph(n + 1, edges), Partition(np.array([1] * n + [2]), 2)
 
 
 def complete_graph(n):
@@ -250,11 +305,51 @@ class TestSubsetCut:
         res = subset_cut_check(g, p, 1, labeled_node=0)
         assert res.per_subset_holds and res.uniform_holds
 
-    def test_guard(self):
+    def test_long_path_cluster(self):
+        # 25 path nodes, boundary node 24: cut({24}) = 1 < 2 and the path's
+        # edge connectivity 1 < 2|B| = 2
         g = build_graph(30, [(i, i + 1) for i in range(29)])
         p = Partition(np.array([1] * 25 + [2] * 5), 2)
-        with pytest.raises(EnumerationGuardError):
-            subset_cut_check(g, p, 1, labeled_node=0)
+        res = subset_cut_check(g, p, 1, labeled_node=0)
+        assert (res.per_subset_holds, res.uniform_holds) == (False, False)
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(5)
+        verdicts = Counter()
+        for trial in range(320):
+            g, p = two_halves_cluster(rng, bottleneck=trial % 4 == 0)
+            members = p.nodes_in(1)
+            labeled = int(rng.choice(members))
+            want = subset_cuts_by_enumeration(g, p, 1, labeled)
+            res = subset_cut_check(g, p, 1, labeled)
+            assert (res.per_subset_holds, res.uniform_holds) == want
+            if trial % 2 == 0:
+                # the uniform verdict is the cluster's edge connectivity,
+                # whichever node is labeled
+                for other in members:
+                    res = subset_cut_check(g, p, 1, int(other))
+                    assert res.uniform_holds == want[1]
+            verdicts[want] += 1
+        for condition in (0, 1):
+            for verdict in (True, False):
+                count = sum(c for w, c in verdicts.items() if w[condition] == verdict)
+                assert count >= 10
+        assert verdicts[True, False] >= 10
+
+    def test_chunked_flows_agree(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        draws = [two_halves_cluster(rng, bottleneck=t % 2 == 0) for t in range(40)]
+
+        def decide_all():
+            return [subset_cut_check(g, p, 1, int(p.nodes_in(1)[0])) for g, p in draws]
+
+        whole = decide_all()
+        assert {r.per_subset_holds for r in whole} == {True, False}
+        assert {r.uniform_holds for r in whole} == {True, False}
+        # a few arcs per flow: every copy, or a handful, is its own chunk
+        for budget in (1, 50, 200):
+            monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
+            assert decide_all() == whole
 
     def test_labeled_node_must_belong(self, bridge_graph, bridge_partition):
         with pytest.raises(ValueError):
@@ -324,6 +419,20 @@ class TestWellConnected:
                     assert well_connected(g, p, k, labeled)
                     checked += 1
         assert checked > 30
+        # cluster sizes 23-40, past the reach of subset enumeration
+        verdicts = set()
+        for _ in range(30):
+            n1 = int(rng.integers(23, 41))
+            g, p = generate(
+                SbmParams((n1, 20), 0.8, float(rng.choice([0.002, 0.02]))),
+                rng_seed=int(rng.integers(2**63)),
+            )
+            labeled = int(p.nodes_in(1)[0])
+            res = subset_cut_check(g, p, 1, labeled)
+            if res.per_subset_holds:
+                assert well_connected(g, p, 1, labeled)
+            verdicts.add(res.per_subset_holds)
+        assert verdicts == {True, False}
 
     def test_certified_instances_recover_exactly(self):
         # when every cluster's single seed is certified, assignment is exact
@@ -469,11 +578,17 @@ class TestAnalyzeInstance:
         assert "cluster 1" in text and "global:" in text
         assert "seed 7: well_connected=true" in text
 
-    def test_guarded_checks_not_checked(self):
+    def test_large_clusters_decided(self):
         g, truth = generate(SbmParams((30, 30), 0.6, 0.05), rng_seed=1)
         inst = SbmInstance(
             g, truth, SeedSet(((0,), (30,))), SbmParams((30, 30), 0.6, 0.05), 1
         )
         report = analyze_instance(inst)
-        assert report.clusters[0].subset_cut_holds is None
+        assert isinstance(report.clusters[0].subset_cut_holds, bool)
         assert isinstance(report.clusters[0].wellconnected_holds, bool)
+        # a reference-protocol instance: one uniform verdict for all 5 seeds
+        inst = generate_instance(SbmParams((50, 50), 0.5, 0.025), s=5, rng_seed=3)
+        for row in analyze_instance(inst).clusters:
+            assert isinstance(row.subset_cut_holds, bool)
+            assert len(row.uniform_cut_by_seed) == 5
+            assert all(isinstance(f, bool) for _, f in row.uniform_cut_by_seed)
