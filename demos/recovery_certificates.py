@@ -2,9 +2,9 @@
 
 Generates a modest block-model draw, then prints the full analysis
 report: boundary sizes, algebraic connectivity, the spectral cut bound,
-the subset-cut conditions (each one max-flow over copies of the cluster
-network, with no limit on the cluster size), the one-flow
-well-connectedness check per labeled node, the parameter condition
+the well-connectedness check per labeled node and the subset-cut
+conditions (all copies of one flow network per cluster, with no limit
+on the cluster size), the parameter condition
 S*p_in/p_out >= beta*n_k*(N-n_k), and the closed-form failure bound.
 
 Run:  python3 demos/recovery_certificates.py

@@ -10,7 +10,6 @@ bounds.
 from tvclust.analysis import (
     AnalysisReport,
     algebraic_connectivity,
-    algebraic_connectivity_of_graph,
     analyze_instance,
     boundary_concentration_bound,
     mincut_tv_oracle,
@@ -34,12 +33,9 @@ from tvclust.graphs import (
     boundary_nodes,
     build_graph,
     contiguous_partition,
-    incidence_matrix,
     induced_subgraph,
     laplacian,
-    laplacian_quadratic,
     total_variation,
-    total_variation_on_subset,
 )
 from tvclust.sbm import (
     SbmInstance,
@@ -51,15 +47,7 @@ from tvclust.sbm import (
     select_seeds,
     write_instance,
 )
-from tvclust.solver import (
-    SolveDiagnostics,
-    SolverConfig,
-    SolverState,
-    initialize,
-    iterate,
-    round_to_indicator,
-    solve,
-)
+from tvclust.solver import SolveDiagnostics, SolverConfig, solve
 from tvclust.sweep import SweepConfig, SweepRow, aggregate_rows, run_sweep
 
 __all__ = [
@@ -72,13 +60,11 @@ __all__ = [
     "SeedSet",
     "SolveDiagnostics",
     "SolverConfig",
-    "SolverState",
     "SweepConfig",
     "SweepRow",
     "accuracy",
     "aggregate_rows",
     "algebraic_connectivity",
-    "algebraic_connectivity_of_graph",
     "analyze_instance",
     "boundary_concentration_bound",
     "boundary_edge_count",
@@ -88,17 +74,12 @@ __all__ = [
     "contiguous_partition",
     "generate",
     "generate_instance",
-    "incidence_matrix",
     "indicator_targets",
     "induced_subgraph",
-    "initialize",
-    "iterate",
     "laplacian",
-    "laplacian_quadratic",
     "mincut_tv_oracle",
     "read_instance",
     "recovery_condition_report",
-    "round_to_indicator",
     "run_sweep",
     "select_seeds",
     "solve",
@@ -106,7 +87,6 @@ __all__ = [
     "spectral_cut_bound_check",
     "subset_cut_check",
     "total_variation",
-    "total_variation_on_subset",
     "well_connected",
     "write_instance",
     "write_result_csv",

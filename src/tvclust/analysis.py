@@ -13,17 +13,18 @@ verifying solver output exactly:
 * the algebraic connectivity (second-smallest Laplacian eigenvalue) of
   cluster subgraphs and the spectral cut bound
   (1 - 1/N) * lambda2 >= 2 * boundary_edge_count;
-* the subset-cut conditions (per-subset and uniform), each decided by one
-  max-flow over disjoint copies of the cluster network, and the
-  well-connectedness certificate (every +-2 boundary-weight pattern must be
-  routable to the labeled node with unit capacities on intra-cluster
-  edges), decided by one max-flow;
+* the well-connectedness certificate (every +-2 boundary-weight pattern
+  must be routable to the labeled node with unit capacities on
+  intra-cluster edges) and the subset-cut conditions (per-subset and
+  uniform), all read off copies of one flow network per cluster.  The copy
+  with exit v decides whether v is well connected, so the per-subset
+  condition holds iff every node of the cluster is;
 * closed-form concentration bounds on the boundary size and the spectral
   gap, and the model-parameter recovery condition
   S * p_in / p_out >= beta * n_k * (N - n_k) with its failure bound.
 
-Every check runs in polynomial time and has no cluster-size limit; the
-batched flows are split into chunks of bounded size (FLOW_ARC_CHUNK arcs).
+Every check runs in polynomial time and has no cluster-size limit; copies
+are batched into max-flows of bounded size (FLOW_ARC_CHUNK arcs).
 """
 
 from __future__ import annotations
@@ -63,6 +64,23 @@ class CapacityRangeError(ValueError):
 INT32_MAX = int(np.iinfo(np.int32).max)
 
 
+def _max_flow(num_nodes: int, tails, heads, caps, source: int, sink: int):
+    """scipy's Dinic max-flow on arcs tails -> heads: (capacity matrix, result).
+
+    Parallel arcs add their capacities; every capacity must fit in int32.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    if caps.size and (caps.min() < 0 or caps.max() > INT32_MAX):
+        raise CapacityRangeError(
+            f"capacities span {caps.min()}..{caps.max()}, outside 0..{INT32_MAX}"
+        )
+    cap = scipy.sparse.csr_matrix(
+        (caps.astype(np.int32), (np.asarray(tails), np.asarray(heads))),
+        shape=(num_nodes, num_nodes),
+    )
+    return cap, maximum_flow(cap, source, sink, method="dinic")
+
+
 def min_cut(num_nodes: int, tails, heads, caps, source: int, sink: int):
     """Maximum flow and minimum cut of the network with arcs tails -> heads.
 
@@ -74,16 +92,7 @@ def min_cut(num_nodes: int, tails, heads, caps, source: int, sink: int):
     capacities.  An unbounded arc takes a capacity above the total of the
     finite ones; every capacity must fit in int32.
     """
-    caps = np.asarray(caps, dtype=np.int64)
-    if caps.size and (caps.min() < 0 or caps.max() > INT32_MAX):
-        raise CapacityRangeError(
-            f"capacities span {caps.min()}..{caps.max()}, outside 0..{INT32_MAX}"
-        )
-    cap = scipy.sparse.csr_matrix(
-        (caps.astype(np.int32), (np.asarray(tails), np.asarray(heads))),
-        shape=(num_nodes, num_nodes),
-    )
-    flow = maximum_flow(cap, source, sink, method="dinic")
+    cap, flow = _max_flow(num_nodes, tails, heads, caps, source, sink)
     residual = (cap - flow.flow) > 0
     source_side = np.zeros(num_nodes, dtype=bool)
     source_side[breadth_first_order(residual, source, return_predecessors=False)] = True
@@ -202,19 +211,14 @@ class SpectralCutBound:
 
 
 def spectral_cut_bound_check(
-    cluster_subgraph: Graph,
-    boundary_edges: int,
-    n_total: int,
-    use_cluster_size: bool = False,
+    cluster_subgraph: Graph, boundary_edges: int, n_total: int
 ) -> SpectralCutBound:
     """Check (1 - 1/N) * lambda2 >= 2 * boundary_edges for one cluster.
 
-    N is the full graph's node count as printed; `use_cluster_size`
-    substitutes the cluster's own size for sensitivity reporting.
+    N is the full graph's node count, as printed in the paper.
     """
     lam = algebraic_connectivity_of_graph(cluster_subgraph)
-    n = cluster_subgraph.num_nodes if use_cluster_size else int(n_total)
-    lhs = (1.0 - 1.0 / n) * lam
+    lhs = (1.0 - 1.0 / int(n_total)) * lam
     rhs = 2.0 * int(boundary_edges)
     return SpectralCutBound(lhs, rhs, lhs >= rhs, lam)
 
@@ -238,48 +242,90 @@ class SubsetCutResult:
     uniform_holds: bool
 
 
-def _copies_saturate(
-    sub: Graph, entries: np.ndarray, entry_cap: int, exits: np.ndarray, demand: int
-) -> bool:
-    """Whether every copy of the cluster network carries `demand` units.
+class _ClusterNetwork:
+    """Cluster k's flow network, the one place every certificate flow is built.
 
-    Copy c is a disjoint copy of `sub` with unit arcs both ways on every
-    edge, an arc of capacity `entry_cap` from a shared source into each
-    node of entries[c] (their capacities total `demand`) and an arc of
-    capacity `demand` from exits[c] to a shared sink.  No copy carries
-    more than `demand`, so a chunk of C copies saturates iff its one
-    max-flow has value C * demand.  Chunks hold at most FLOW_ARC_CHUNK
-    arcs (at least one copy); the first chunk short of its total decides.
+    `sub` is the induced subgraph of the cluster's members (ascending
+    original ids) and `boundary` the positions in it of the boundary nodes
+    B.  A copy of the network is a disjoint copy of `sub` with unit arcs
+    both ways on every edge, entry arcs from a shared source and one arc of
+    capacity demand = 2|B| from its exit node to a shared sink.
     """
-    n, width = sub.num_nodes, entries.shape[1]
-    per_chunk = max(1, FLOW_ARC_CHUNK // (2 * sub.num_edges + width + 1))
-    tails = np.concatenate([sub.heads, sub.tails])
-    heads = np.concatenate([sub.tails, sub.heads])
-    for lo in range(0, exits.size, per_chunk):
-        count = min(per_chunk, exits.size - lo)
-        offset = np.arange(count, dtype=np.int64) * n
-        source, sink = count * n, count * n + 1
-        chunk_tails = np.concatenate([
-            (offset[:, None] + tails).ravel(),
-            np.full(count * width, source),
-            exits[lo:lo + count] + offset,
-        ])
-        chunk_heads = np.concatenate([
-            (offset[:, None] + heads).ravel(),
-            (offset[:, None] + entries[lo:lo + count]).ravel(),
-            np.full(count, sink),
-        ])
-        caps = np.concatenate([
-            np.ones(count * tails.size, dtype=np.int64),
-            np.full(count * width, entry_cap),
-            np.full(count, demand),
-        ])
-        value, _, _ = min_cut(
-            count * n + 2, chunk_tails, chunk_heads, caps, source, sink
+
+    def __init__(self, g: Graph, p: Partition, k: int):
+        boundary = boundary_nodes(g, p, k)
+        self.cluster = k
+        self.sub, self.members = induced_subgraph(g, p.nodes_in(k))
+        self.boundary = np.searchsorted(self.members, boundary)
+        self.demand = 2 * boundary.size
+
+    def position(self, labeled_node) -> int:
+        """Position of a labeled node in `sub`; ValueError for a non-member."""
+        if isinstance(labeled_node, (int, np.integer)):
+            pos = int(np.searchsorted(self.members, labeled_node))
+            if pos < self.members.size and self.members[pos] == labeled_node:
+                return pos
+        raise ValueError(
+            f"labeled node {labeled_node} is not in cluster {self.cluster}"
         )
-        if value < count * demand:
-            return False
-    return True
+
+    def exit_copies(self, exits: np.ndarray):
+        """Per-subset copies: capacity 2 into each boundary node, exit v for
+        each v in `exits`; copy v carries 2|B| iff v is well connected."""
+        entries = np.broadcast_to(self.boundary, (exits.size, self.boundary.size))
+        return self._copies(entries, 2, exits)
+
+    def menger_copies(self, labeled: int):
+        """Uniform copies: 2|B| into u, exit the labeled node, for every other
+        u; copy u carries 2|B| iff lambda(u, labeled) >= 2|B|."""
+        others = np.delete(np.arange(self.sub.num_nodes), labeled)
+        return self._copies(others[:, None], self.demand, np.full(others.size, labeled))
+
+    def _copies(self, entries: np.ndarray, entry_cap: int, exits: np.ndarray):
+        """Yield, per max-flow, which of its copies carry the demand.
+
+        Copy c has an arc of capacity `entry_cap` into each node of
+        entries[c] (together the demand) and exits at exits[c].  A flow
+        holds at most FLOW_ARC_CHUNK arcs (at least one copy), and a copy's
+        value is its share of the source's out-flow.
+        """
+        if not self.demand:
+            # no boundary: every copy carries its empty demand
+            yield np.ones(exits.size, dtype=bool)
+            return
+        sub, width = self.sub, entries.shape[1]
+        n = sub.num_nodes
+        per_chunk = max(1, FLOW_ARC_CHUNK // (2 * sub.num_edges + width + 1))
+        tails = np.concatenate([sub.heads, sub.tails])
+        heads = np.concatenate([sub.tails, sub.heads])
+        for lo in range(0, exits.size, per_chunk):
+            count = min(per_chunk, exits.size - lo)
+            offset = np.arange(count, dtype=np.int64) * n
+            source, sink = count * n, count * n + 1
+            chunk_tails = np.concatenate([
+                (offset[:, None] + tails).ravel(),
+                np.full(count * width, source),
+                exits[lo:lo + count] + offset,
+            ])
+            chunk_heads = np.concatenate([
+                (offset[:, None] + heads).ravel(),
+                (offset[:, None] + entries[lo:lo + count]).ravel(),
+                np.full(count, sink),
+            ])
+            caps = np.concatenate([
+                np.ones(count * tails.size, dtype=np.int64),
+                np.full(count * width, entry_cap),
+                np.full(count, self.demand),
+            ])
+            _, flow = _max_flow(
+                count * n + 2, chunk_tails, chunk_heads, caps, source, sink
+            )
+            out = slice(flow.flow.indptr[source], flow.flow.indptr[source + 1])
+            value = np.bincount(
+                flow.flow.indices[out] // n, weights=flow.flow.data[out],
+                minlength=count,
+            )
+            yield value == self.demand
 
 
 def subset_cut_check(
@@ -290,37 +336,28 @@ def subset_cut_check(
     Per-subset condition: cut(S) >= 2|S ∩ B| for every nonempty proper S
     of cluster k, with B its boundary nodes.  Equivalently, for every node
     v, the minimum over S avoiding v of cut(S) + 2|B - S| is 2|B| (S empty
-    attains it).  That minimum is the min cut of one copy of the cluster
-    network with a capacity-2 source arc into each boundary node and v
-    forced to the sink side, so the condition is one max-flow over n
-    copies.
+    attains it).  That minimum is the min cut of the cluster network's
+    copy with exit v, the very flow that decides :func:`well_connected`
+    for v, so the condition holds iff every node of the cluster is well
+    connected; it is decided over the n copies.
 
     Uniform condition: cut(S) >= 2|B| for every nonempty S avoiding the
     labeled node.  By Menger's theorem this is min over u of the edge
     connectivity lambda(u, labeled) >= 2|B|, the cluster's global edge
-    connectivity, whatever the labeled node.  It is one max-flow over the
-    n - 1 copies that send 2|B| from u to the labeled node.
+    connectivity, whatever the labeled node.  It is decided over the n - 1
+    copies that send 2|B| from u to the labeled node.
 
-    Both flows are split into chunks of at most FLOW_ARC_CHUNK arcs; no
-    cluster size is too large to decide.
+    Copies are batched into max-flows of at most FLOW_ARC_CHUNK arcs and
+    the first flow with a short copy decides; no cluster size is too large
+    to decide.
     """
-    if p.assignment[labeled_node] != k:
-        raise ValueError(f"labeled node {labeled_node} is not in cluster {k}")
-    sub, node_map = induced_subgraph(g, p.nodes_in(k))
-    position = {int(orig): new for new, orig in enumerate(node_map)}
-    labeled = position[int(labeled_node)]
-    boundary = [position[int(b)] for b in boundary_nodes(g, p, k)]
-    if not boundary:
-        return SubsetCutResult(True, True)
-    n, demand = sub.num_nodes, 2 * len(boundary)
-    per_subset = _copies_saturate(
-        sub, np.broadcast_to(boundary, (n, len(boundary))), 2, np.arange(n), demand
+    net = _ClusterNetwork(g, p, k)
+    labeled = net.position(labeled_node)
+    exits = np.arange(net.sub.num_nodes)
+    return SubsetCutResult(
+        all(chunk.all() for chunk in net.exit_copies(exits)),
+        all(chunk.all() for chunk in net.menger_copies(labeled)),
     )
-    others = np.delete(np.arange(n), labeled)
-    uniform = _copies_saturate(
-        sub, others[:, None], demand, np.full(n - 1, labeled), demand
-    )
-    return SubsetCutResult(per_subset, uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +376,15 @@ def well_connected(g: Graph, p: Partition, k: int, labeled_node: int) -> bool:
     By Gale's and Hoffman's feasibility theorem a pattern sigma is routable
     iff |sigma(S)| <= cut(S) for every node set S avoiding the labeled
     node.  The all-+2 pattern maximizes |sigma(S)| for every S at once, so
-    the certificate holds iff one max-flow from an auxiliary source, with
-    capacity 2 into each node of B', to the labeled node has value 2|B'|.
+    the certificate holds iff 2|B'| units can flow from B' to the labeled
+    node.  That is the cluster network's per-subset copy with the labeled
+    node as exit (see :func:`subset_cut_check`): a capacity-2 source arc
+    into each boundary node, the labeled node's own arc passing straight
+    to the sink.
     """
-    if p.assignment[labeled_node] != k:
-        raise ValueError(f"labeled node {labeled_node} is not in cluster {k}")
-    sub, node_map = induced_subgraph(g, p.nodes_in(k))
-    position = {int(orig): new for new, orig in enumerate(node_map)}
-    labeled = position[int(labeled_node)]
-    forced = [position[int(b)] for b in boundary_nodes(g, p, k)]
-    forced = [b for b in forced if b != labeled]
-    if not forced:
-        return True
-    source = sub.num_nodes
-    tails = np.concatenate([sub.heads, sub.tails, np.full(len(forced), source)])
-    heads = np.concatenate([sub.tails, sub.heads, forced])
-    caps = np.concatenate(
-        [np.ones(2 * sub.num_edges, dtype=np.int64), np.full(len(forced), 2)]
-    )
-    value, _, _ = min_cut(sub.num_nodes + 1, tails, heads, caps, source, labeled)
-    return value == 2 * len(forced)
+    net = _ClusterNetwork(g, p, k)
+    exits = np.array([net.position(labeled_node)])
+    return bool(next(net.exit_copies(exits))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +504,16 @@ def analyze_instance(
 ) -> AnalysisReport:
     """Run every desk-scale certificate on one instance.
 
-    Per-seed checks: the cluster-level well-connectedness flag is True
-    when at least one of the cluster's labeled nodes is certified (a
+    Each cluster's flow network is built once.  Its copies with the seeds
+    as exits run first and give every per-seed well-connectedness verdict;
+    the cluster-level flag is True when at least one seed is certified (a
     single certified seed per cluster is what the exact-recovery guarantee
-    needs); individual seed verdicts are retained alongside.  The subset-cut
-    conditions are decided once per cluster: the uniform verdict is the
-    cluster's edge connectivity against 2|B|, the same for every seed.
+    needs).  The per-subset condition holds iff every node of the cluster
+    is well connected, so a seed that falls short decides it with no
+    further flow; otherwise the remaining nodes' copies run, up to the
+    first short flow.  The uniform condition is the cluster's edge
+    connectivity against 2|B|, decided once and the same for every seed.
+    The spectral check reuses the network's induced subgraph.
     """
     g, truth = instance.graph, instance.truth
     condition = recovery_condition_report(
@@ -491,29 +521,33 @@ def analyze_instance(
     )
     rows = []
     for k in range(1, truth.num_clusters + 1):
-        members = truth.nodes_in(k)
-        bn = boundary_nodes(g, truth, k)
+        net = _ClusterNetwork(g, truth, k)
         be = boundary_edge_count(g, truth, k)
-        sub, _ = induced_subgraph(g, members)
-        bound = spectral_cut_bound_check(sub, be, g.num_nodes)
+        bound = spectral_cut_bound_check(net.sub, be, g.num_nodes)
         seeds_k = instance.seeds.per_cluster[k - 1]
-        cuts = subset_cut_check(g, truth, k, seeds_k[0])
-        uniform_by_seed = tuple((i, cuts.uniform_holds) for i in seeds_k)
-        wc_by_seed = tuple((i, well_connected(g, truth, k, i)) for i in seeds_k)
-        wc_holds = any(flag for _, flag in wc_by_seed)
+        seats = np.array([net.position(i) for i in seeds_k])
+        seed_flags = np.concatenate(list(net.exit_copies(seats)))
+        others = np.setdiff1d(np.arange(net.sub.num_nodes), seats)
+        per_subset = bool(seed_flags.all()) and all(
+            chunk.all() for chunk in net.exit_copies(others)
+        )
+        uniform = all(chunk.all() for chunk in net.menger_copies(seats[0]))
+        wc_by_seed = tuple(
+            (i, bool(flag)) for i, flag in zip(seeds_k, seed_flags)
+        )
         rows.append(
             ClusterChecks(
                 cluster=k,
-                size=members.size,
-                boundary_node_count=bn.size,
+                size=net.members.size,
+                boundary_node_count=net.boundary.size,
                 boundary_edge_count=be,
                 lambda2=bound.lambda2,
                 spectral_cut_bound_lhs=bound.lhs,
                 spectral_cut_bound_rhs=bound.rhs,
                 spectral_cut_bound_holds=bound.holds,
-                subset_cut_holds=cuts.per_subset_holds,
-                wellconnected_holds=wc_holds,
-                uniform_cut_by_seed=uniform_by_seed,
+                subset_cut_holds=per_subset,
+                wellconnected_holds=bool(seed_flags.any()),
+                uniform_cut_by_seed=tuple((i, uniform) for i in seeds_k),
                 wellconnected_by_seed=wc_by_seed,
                 condition=condition.clusters[k - 1],
             )

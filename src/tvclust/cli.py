@@ -14,6 +14,7 @@ Exit status: 0 on success, 2 on usage errors, 1 on named runtime errors
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -56,6 +57,9 @@ def _parse_probability_grid(text: str) -> tuple[float, ...]:
     """Comma list (`0.1,0.2`) or inclusive range `start:stop:step`."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            # a NaN or infinite bound or step would never end the range
+            raise CliUsageError(f"grid range needs finite numbers in {text!r}")
         if step <= 0:
             raise CliUsageError(f"grid step must be positive in {text!r}")
         values = []

@@ -78,23 +78,16 @@ def cluster(
     return ClusteringResult(assignment, scores, diagnostics)
 
 
-def accuracy(
-    result: ClusteringResult,
-    truth: Partition,
-    seeds,
-    include_seeds: bool = False,
-) -> float:
+def accuracy(result: ClusteringResult, truth: Partition, seeds) -> float:
     """Fraction of unlabeled nodes assigned their true cluster.
 
     `seeds` is a SeedSet or any iterable of labeled node ids.  When every
-    node is labeled (and include_seeds is off) there is nothing to score;
-    that degenerate case returns 1.0.  include_seeds adds the labeled
-    nodes to the count (debugging aid).
+    node is labeled there is nothing to score; that degenerate case
+    returns 1.0.
     """
     seed_nodes = seeds.all_nodes if isinstance(seeds, SeedSet) else seeds
     mask = np.ones(truth.num_nodes, dtype=bool)
-    if not include_seeds:
-        mask[np.asarray(sorted(seed_nodes), dtype=np.int64)] = False
+    mask[np.asarray(sorted(seed_nodes), dtype=np.int64)] = False
     if not mask.any():
         return 1.0
     correct = result.assignment[mask] == truth.assignment[mask]

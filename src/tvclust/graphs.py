@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Dense incidence/Laplacian matrices are refused above this node count;
-# TV and quadratic forms stream over the edge list instead.
+# total variation streams over the edge list instead.
 DENSE_CAP_DEFAULT = 2000
 
 
@@ -44,10 +44,6 @@ class SignalLengthError(ValueError):
     """A node signal's length does not match the graph's node count."""
 
 
-class UnknownEdgeError(ValueError):
-    """An edge subset refers to a pair that is not an edge of the graph."""
-
-
 class PartitionError(ValueError):
     """A cluster assignment violates the partition invariants."""
 
@@ -67,30 +63,15 @@ class Graph:
     edges : (E, 2) int64 array, row e = (head, tail) with head < tail, in
         input order
     degrees : (N,) int64 array
-    indptr, indices : CSR adjacency, (N + 1,) and (2E,) int64 arrays; the
-        neighbors of node i are indices[indptr[i]:indptr[i + 1]], ascending
     """
 
-    __slots__ = (
-        "num_nodes", "edges", "degrees", "indptr", "indices", "_codes", "_rows"
-    )
+    __slots__ = ("num_nodes", "edges", "degrees")
 
-    def __init__(
-        self, num_nodes: int, edges: np.ndarray, codes: np.ndarray, rows: np.ndarray
-    ):
-        """`codes` holds head * N + tail of every edge, ascending, and
-        `rows[k]` is the row of `edges` whose code is `codes[k]`."""
-        n = self.num_nodes = int(num_nodes)
+    def __init__(self, num_nodes: int, edges: np.ndarray):
+        self.num_nodes = int(num_nodes)
         self.edges = edges
-        self._codes = codes
-        self._rows = rows
-        # both orientations of every edge, sorted by (node, neighbor)
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        self.indices = dst[np.argsort(src * n + dst)]
-        self.degrees = np.bincount(src, minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(self.degrees)])
-        for arr in (edges, codes, rows, self.indices, self.degrees, self.indptr):
+        self.degrees = np.bincount(edges.ravel(), minlength=self.num_nodes)
+        for arr in (edges, self.degrees):
             arr.flags.writeable = False
 
     @property
@@ -104,30 +85,6 @@ class Graph:
     @property
     def tails(self) -> np.ndarray:
         return self.edges[:, 1]
-
-    def _find(self, i: int, j: int) -> int:
-        """Row index of undirected edge {i, j}, or -1 if it is not an edge."""
-        lo, hi = (int(i), int(j)) if i < j else (int(j), int(i))
-        if lo < 0 or hi >= self.num_nodes or lo == hi:
-            return -1
-        code = lo * self.num_nodes + hi
-        k = int(np.searchsorted(self._codes, code))
-        if k < self._codes.size and self._codes[k] == code:
-            return int(self._rows[k])
-        return -1
-
-    def edge_id(self, i: int, j: int) -> int:
-        """Row index of undirected edge {i, j}; raises UnknownEdgeError."""
-        e = self._find(i, j)
-        if e < 0:
-            raise UnknownEdgeError(f"{{{i}, {j}}} is not an edge")
-        return e
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._find(i, j) >= 0
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -159,16 +116,14 @@ def build_graph(num_nodes: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         if loops.any():
             raise SelfLoopError(f"self-loop at node {int(pairs[loops][0, 0])}")
     oriented = np.sort(pairs, axis=1)
-    codes = oriented[:, 0] * num_nodes + oriented[:, 1]
-    rows = np.argsort(codes)
-    codes = codes[rows]
+    codes = np.sort(oriented[:, 0] * num_nodes + oriented[:, 1])
     dup = codes[1:] == codes[:-1]
     if dup.any():
         code = int(codes[1:][dup][0])
         raise DuplicateEdgeError(
             f"duplicate edge {{{code // num_nodes}, {code % num_nodes}}}"
         )
-    return Graph(num_nodes, oriented, codes, rows)
+    return Graph(num_nodes, oriented)
 
 
 def _check_signal(g: Graph, x: np.ndarray) -> np.ndarray:
@@ -210,25 +165,6 @@ def total_variation(g: Graph, x: np.ndarray) -> float:
     """Sum over edges of |x_j - x_i| (edge-streaming, any graph size)."""
     x = _check_signal(g, x)
     return float(np.abs(x[g.tails] - x[g.heads]).sum())
-
-
-def total_variation_on_subset(
-    g: Graph, x: np.ndarray, edge_subset: Iterable[Sequence[int]]
-) -> float:
-    """Total variation restricted to the given edges (pairs of node ids)."""
-    x = _check_signal(g, x)
-    ids = [g.edge_id(int(i), int(j)) for i, j in edge_subset]
-    if not ids:
-        return 0.0
-    ids = np.asarray(ids)
-    return float(np.abs(x[g.tails[ids]] - x[g.heads[ids]]).sum())
-
-
-def laplacian_quadratic(g: Graph, x: np.ndarray) -> float:
-    """x.T @ L @ x computed edge-streaming: sum of (x_i - x_j)^2 over edges."""
-    x = _check_signal(g, x)
-    diff = x[g.tails] - x[g.heads]
-    return float(diff @ diff)
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,11 @@ def read_instance(in_dir) -> SbmInstance:
         raise InstanceFormatError(
             f"header n={n} but the partition covers {truth.num_nodes} nodes"
         )
+    if tuple(truth.cluster_sizes.tolist()) != sizes:
+        raise InstanceFormatError(
+            f"header sizes={list(sizes)} but the partition's cluster sizes are "
+            f"{truth.cluster_sizes.tolist()}"
+        )
     bad = [node for node in seed_nodes if not 0 <= node < n]
     if bad:
         raise InstanceFormatError(f"seed ids {bad} in {header_path} outside 0..{n - 1}")

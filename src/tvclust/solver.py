@@ -30,11 +30,11 @@ A from-scratch average remembers the start-up transient forever (its error
 decays only like 1/r even after the iterates have settled), so the solver
 discards the first ``burn_in`` sweeps and reports the average of the
 remaining primal iterates; ``burn_in=0`` averages from the first sweep.
-Its labeled entries are clamped too (a mathematical no-op that keeps the
-constraint residual exactly zero in floating point).  A row stops when
-its average moves by less than ``tol`` in sup norm over one sweep; it
-then leaves the batch with its own sweep count, so no row runs more
-sweeps than it would alone.
+Its labeled entries are set to the seed values too (a mathematical no-op
+that removes floating-point dust), so they hold the constraint exactly.
+A row stops when its average moves by less than ``tol`` in sup norm over
+one sweep; it then leaves the batch with its own sweep count, so no row
+runs more sweeps than it would alone.
 
 :func:`solve` is the one-problem case.  :func:`initialize` and
 :func:`iterate` expose a single sweep on an immutable
@@ -95,13 +95,12 @@ class SolveDiagnostics:
     iters: int
     tv_final: float
     converged: bool
-    residual_sup: float  # sup over labeled nodes of |xbar - value|; 0 by clamping
     x_hat_history: tuple = field(default=(), repr=False)
 
     def as_text(self) -> str:
         return (
             f"iters={self.iters} tv_final={self.tv_final!r} "
-            f"converged={self.converged} residual_sup={self.residual_sup!r}"
+            f"converged={self.converged}"
         )
 
 
@@ -294,7 +293,6 @@ def solve_batch(
             iters=int(iters[j]),
             tv_final=total_variation(g, scores[j]),
             converged=bool(converged[j]),
-            residual_sup=float(np.abs(scores[j, seed_ids] - seed_values[j]).max()),
             x_hat_history=tuple(histories[j]),
         )
         for j in range(k)

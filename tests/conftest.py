@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from tvclust.graphs import build_graph, contiguous_partition
 
@@ -30,16 +32,10 @@ def random_graph(rng, n, p):
 
 
 def is_connected(g):
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+    adjacency = scipy.sparse.coo_matrix(
+        (np.ones(g.num_edges), (g.heads, g.tails)), shape=(g.num_nodes, g.num_nodes)
+    )
+    return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
 def random_connected_graph(rng, n, p, max_tries=1000):

@@ -145,6 +145,16 @@ def two_halves_cluster(rng, bottleneck):
     return build_graph(n + 1, edges), Partition(np.array([1] * n + [2]), 2)
 
 
+def random_instance(rng, max_size):
+    """An SBM instance of 2-3 clusters of 3..max_size nodes with S >= 2."""
+    sizes = tuple(int(x) for x in rng.integers(3, max_size + 1, size=rng.integers(2, 4)))
+    params = SbmParams(
+        sizes, float(rng.choice([0.6, 0.8, 0.95])), float(rng.choice([0.05, 0.1, 0.2]))
+    )
+    s = int(rng.integers(2, min(sizes) + 1))
+    return generate_instance(params, s, rng_seed=int(rng.integers(2**63)))
+
+
 def complete_graph(n):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -268,12 +278,6 @@ class TestSpectralCutBound:
         assert bound.lambda2 == 0.0
         assert not bound.holds
 
-    def test_cluster_size_variant(self):
-        bound = spectral_cut_bound_check(
-            complete_graph(10), 1, n_total=1000, use_cluster_size=True
-        )
-        assert_allclose(bound.lhs, (1 - 1 / 10) * 10)
-
 
 class TestSubsetCut:
     def test_bridge_cluster_one(self, bridge_graph, bridge_partition):
@@ -339,21 +343,35 @@ class TestSubsetCut:
     def test_chunked_flows_agree(self, monkeypatch):
         rng = np.random.default_rng(9)
         draws = [two_halves_cluster(rng, bottleneck=t % 2 == 0) for t in range(40)]
+        instances = [random_instance(rng, max_size=12) for _ in range(30)]
 
         def decide_all():
-            return [subset_cut_check(g, p, 1, int(p.nodes_in(1)[0])) for g, p in draws]
+            cuts = [subset_cut_check(g, p, 1, int(p.nodes_in(1)[0])) for g, p in draws]
+            return cuts, [analyze_instance(inst) for inst in instances]
 
         whole = decide_all()
-        assert {r.per_subset_holds for r in whole} == {True, False}
-        assert {r.uniform_holds for r in whole} == {True, False}
+        assert {r.per_subset_holds for r in whole[0]} == {True, False}
+        assert {r.uniform_holds for r in whole[0]} == {True, False}
+        # clusters whose seeds disagree, so a verdict read off the wrong
+        # copy of a shared flow shows
+        mixed = [
+            row for report in whole[1] for row in report.clusters
+            if len({flag for _, flag in row.wellconnected_by_seed}) == 2
+        ]
+        assert len(mixed) >= 10
         # a few arcs per flow: every copy, or a handful, is its own chunk
         for budget in (1, 50, 200):
             monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
             assert decide_all() == whole
 
     def test_labeled_node_must_belong(self, bridge_graph, bridge_partition):
-        with pytest.raises(ValueError):
-            subset_cut_check(bridge_graph, bridge_partition, 1, labeled_node=7)
+        # 7 is in cluster 2; -1 would wrap to node 7; 8 is past the last
+        # node; 5.0 and "0" are not integer ids
+        for check in (subset_cut_check, well_connected):
+            for node in (7, -1, 8, 5.0, "0"):
+                with pytest.raises(ValueError, match="is not in cluster 1"):
+                    check(bridge_graph, bridge_partition, 1, labeled_node=node)
+            assert check(bridge_graph, bridge_partition, 1, labeled_node=np.int64(3))
 
 
 class TestWellConnected:
@@ -433,6 +451,23 @@ class TestWellConnected:
                 assert well_connected(g, p, 1, labeled)
             verdicts.add(res.per_subset_holds)
         assert verdicts == {True, False}
+
+    def test_per_subset_iff_every_node_well_connected(self):
+        # per-subset copy v is the flow of well_connected(v)
+        rng = np.random.default_rng(61)
+        verdicts = Counter()
+        for trial in range(60):
+            n1 = int(rng.integers(23, 41)) if trial % 3 == 0 else int(rng.integers(2, 12))
+            g, p = generate(
+                SbmParams((n1, 20), 0.8, float(rng.choice([0.002, 0.02, 0.1]))),
+                rng_seed=int(rng.integers(2**63)),
+            )
+            members = p.nodes_in(1)
+            res = subset_cut_check(g, p, 1, int(rng.choice(members)))
+            every = all(well_connected(g, p, 1, int(v)) for v in members)
+            assert res.per_subset_holds == every
+            verdicts[n1 >= 23, every] += 1
+        assert all(verdicts[large, v] >= 3 for large in (True, False) for v in (True, False))
 
     def test_certified_instances_recover_exactly(self):
         # when every cluster's single seed is certified, assignment is exact
@@ -592,3 +627,54 @@ class TestAnalyzeInstance:
             assert isinstance(row.subset_cut_holds, bool)
             assert len(row.uniform_cut_by_seed) == 5
             assert all(isinstance(f, bool) for _, f in row.uniform_cut_by_seed)
+
+    def test_matches_references(self):
+        # per-seed verdicts against every +-2 pattern, cluster verdicts
+        # against the 2^n subset enumeration
+        rng = np.random.default_rng(88)
+        counts = Counter()
+        for _ in range(150):
+            inst = random_instance(rng, max_size=8)
+            g, truth = inst.graph, inst.truth
+            for k, row in enumerate(analyze_instance(inst).clusters, 1):
+                for node, flag in row.wellconnected_by_seed:
+                    assert flag == well_connected_by_patterns(g, truth, k, node)
+                    counts["seed", flag] += 1
+                assert row.wellconnected_holds == any(
+                    flag for _, flag in row.wellconnected_by_seed
+                )
+                seeds = [node for node, _ in row.uniform_cut_by_seed]
+                assert seeds == [node for node, _ in row.wellconnected_by_seed]
+                for node, flag in row.uniform_cut_by_seed:
+                    want = subset_cuts_by_enumeration(g, truth, k, node)
+                    assert (row.subset_cut_holds, flag) == want
+                counts["subset", row.subset_cut_holds] += 1
+                counts["uniform", row.uniform_cut_by_seed[0][1]] += 1
+                if all(f for _, f in row.wellconnected_by_seed):
+                    # decided by the copies of the nodes that are not seeds
+                    counts["after seeds", row.subset_cut_holds] += 1
+        for kind in ("seed", "subset", "uniform"):
+            assert counts[kind, True] >= 20 and counts[kind, False] >= 20
+        assert counts["after seeds", True] >= 20 and counts["after seeds", False] >= 5
+
+    def test_one_network_per_cluster(self, monkeypatch):
+        # one induced subgraph per cluster, and no certificate flow reads a
+        # residual network
+        calls = []
+
+        def counted(g, nodes):
+            calls.append(len(nodes))
+            return induced_subgraph(g, nodes)
+
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("residual BFS in a certificate flow")
+
+        monkeypatch.setattr(analysis, "induced_subgraph", counted)
+        monkeypatch.setattr(analysis, "breadth_first_order", no_bfs)
+        inst = generate_instance(SbmParams((9, 7, 8), 0.7, 0.1), s=3, rng_seed=4)
+        report = analyze_instance(inst)
+        assert calls == [9, 7, 8]
+        assert [len(row.wellconnected_by_seed) for row in report.clusters] == [3, 3, 3]
+        subset_cut_check(inst.graph, inst.truth, 2, inst.seeds.per_cluster[1][0])
+        well_connected(inst.graph, inst.truth, 3, inst.seeds.per_cluster[2][0])
+        assert calls == [9, 7, 8, 7, 8]

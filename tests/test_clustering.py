@@ -123,11 +123,11 @@ class TestAccuracy:
         res = self._result([1, 1, 2, 2])
         assert accuracy(res, truth, seeds=[0, 1, 2, 3]) == 1.0
 
-    def test_include_seeds_flag(self):
+    def test_seeds_not_scored(self):
         truth = contiguous_partition([2, 2])
         res = self._result([1, 2, 2, 2])  # node 1 wrong, others right
         assert accuracy(res, truth, seeds=[1]) == 1.0
-        assert accuracy(res, truth, seeds=[1], include_seeds=True) == 0.75
+        assert accuracy(res, truth, seeds=[0]) == 2 / 3
 
     def test_seedset_object(self):
         inst = generate_instance(SbmParams((5, 5), 1.0, 0.0), s=1, rng_seed=0)

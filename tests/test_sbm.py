@@ -256,6 +256,24 @@ class TestInstance:
         with pytest.raises(InstanceFormatError, match="partition covers 11"):
             read_instance(tmp_path)
 
+    def test_partition_sizes_must_match_header(self, tmp_path):
+        # node 5 moved to cluster 2: sizes [5, 7] against the header's (6, 6)
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=1, rng_seed=5)
+        write_instance(inst, tmp_path)
+        partition = tmp_path / "partition.txt"
+        partition.write_text(partition.read_text().replace("5 1\n", "5 2\n"))
+        with pytest.raises(InstanceFormatError, match=r"sizes=\[6, 6\].*\[5, 7\]"):
+            read_instance(tmp_path)
+
+    def test_permuted_instance_round_trips(self, tmp_path):
+        inst = permute_instance(
+            generate_instance(SbmParams((4, 7, 5), 0.9, 0.1), s=2, rng_seed=8), 3
+        )
+        write_instance(inst, tmp_path)
+        back = read_instance(tmp_path)
+        assert_array_equal(back.truth.assignment, inst.truth.assignment)
+        assert back.params == inst.params and back.seeds == inst.seeds
+
     @pytest.mark.parametrize("bad_id", ["-1", "12"])
     def test_seed_id_out_of_range(self, tmp_path, bad_id):
         # the cluster-2 seed replaced: -1 would wrap to node 11, itself in

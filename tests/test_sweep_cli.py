@@ -212,6 +212,20 @@ class TestCliSweep:
             rows = list(csv.DictReader(fh))
         assert [r["p_in"] for r in rows] == ["0.2", "0.4", "0.6"]
 
+    @pytest.mark.parametrize(
+        "grid", ["0.1:0.5:nan", "0.1:inf:0.1", "nan:0.5:0.1", "0.1:0.5:inf"]
+    )
+    def test_non_finite_range_grid_rejected(self, tmp_path, capsys, grid):
+        # a NaN step or an infinite stop used to extend the grid forever
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--sizes", "6,6", "--p-out", "0.1", "--p-in-grid", grid,
+                "--num-seeds", "1", "--reps", "1", "--rng-seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "CliUsageError" in err and "finite" in err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
