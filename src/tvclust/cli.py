@@ -46,9 +46,6 @@ class CliUsageError(ValueError):
     """Inconsistent or missing command-line arguments."""
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -132,7 +129,7 @@ def _positive_int(text: str) -> int:
 
 
 def _resolve_sizes(args) -> tuple[int, ...]:
-    sizes = _value(args, "sizes", _parse_sizes)
+    sizes = _value(args, "sizes", _parse_ints)
     n = _value(args, "nodes", int)
     if sizes is not None:
         return sizes

@@ -254,6 +254,8 @@ def read_instance(in_dir) -> SbmInstance:
         raise InstanceFormatError(f"bad header in {header_path}: {exc}") from exc
     if params.num_nodes != n:
         raise InstanceFormatError(f"header n={n} but sizes sum to {params.num_nodes}")
+    if s < 1:
+        raise InstanceFormatError(f"header S={s} must be >= 1 in {header_path}")
     graph = read_edge_list(src / EDGES_FILE, num_nodes=n)
     truth = read_partition(src / PARTITION_FILE)
     if truth.num_nodes != n:

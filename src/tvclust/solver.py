@@ -28,18 +28,15 @@ depend on K or on the other rows.
 
 A from-scratch average remembers the start-up transient forever (its error
 decays only like 1/r even after the iterates have settled), so the solver
-discards the first ``burn_in`` sweeps and reports the average of the
-remaining primal iterates; ``burn_in=0`` averages from the first sweep.
+discards the first ``max_iters // 2`` sweeps (the burn-in) and reports the
+average of the remaining primal iterates.
 Its labeled entries are set to the seed values too (a mathematical no-op
 that removes floating-point dust), so they hold the constraint exactly.
 A row stops when its average moves by less than ``tol`` in sup norm over
 one sweep; it then leaves the batch with its own sweep count, so no row
 runs more sweeps than it would alone.
 
-:func:`solve` is the one-problem case.  :func:`initialize` and
-:func:`iterate` expose a single sweep on an immutable
-:class:`SolverState` for tracing by hand; ``iterate`` runs the same sweep
-code and also keeps the plain from-start average in ``SolverState.x_bar``.
+:func:`solve` is the one-problem case.
 
 Isolated nodes have no messages; they keep gamma_i = 1 and simply hold
 their initial value (0, or the clamped seed value).
@@ -48,7 +45,7 @@ their initial value (0, or the clamped seed value).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,35 +56,20 @@ class SeedValuesError(ValueError):
     """The labeled node set is empty or malformed."""
 
 
+class SolverConfigError(ValueError):
+    """A sweep budget below 1 or a negative or non-finite tolerance."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 2000
     tol: float = 1e-6  # sup-norm change of the reported average per sweep
-    record_history: bool = False
-    burn_in: int | None = None  # sweeps excluded from the output average;
-    # None means max_iters // 2, 0 means average from the first sweep
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise SolverConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.burn_in is not None and not 0 <= self.burn_in < self.max_iters:
-            raise ValueError("burn_in must lie in 0..max_iters-1")
-
-    @property
-    def effective_burn_in(self) -> int:
-        return self.max_iters // 2 if self.burn_in is None else self.burn_in
-
-
-@dataclass(frozen=True)
-class SolverState:
-    x_prev: np.ndarray  # primal iterate of the previous sweep
-    x_cur: np.ndarray  # current primal iterate (clamped on labeled nodes)
-    y: np.ndarray  # per-edge dual messages, |y_e| <= 1
-    x_bar: np.ndarray  # running average of primal iterates
-    r: int  # completed sweeps
-    gamma: np.ndarray  # per-node step sizes 1/d_i (1 on isolated nodes)
+            raise SolverConfigError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +77,6 @@ class SolveDiagnostics:
     iters: int
     tv_final: float
     converged: bool
-    x_hat_history: tuple = field(default=(), repr=False)
 
     def as_text(self) -> str:
         return (
@@ -104,10 +85,15 @@ class SolveDiagnostics:
         )
 
 
-def _check_seeds(g: Graph, ids: np.ndarray, values: np.ndarray) -> None:
-    """ids: ascending labeled node ids (S,); values: one row per problem (K, S)."""
+def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarray]:
+    """The (S,) ascending labeled node ids as int64 and the (K, S) values,
+    one row per problem, as float64."""
+    ids, values = np.asarray(seed_ids), np.asarray(seed_values, dtype=np.float64)
     if ids.size == 0:
         raise SeedValuesError("labeled node set must be nonempty")
+    if ids.dtype.kind not in "iuf" or not np.isfinite(ids).all() or (ids % 1).any():
+        raise SeedValuesError(f"labeled node ids must be integers, got {ids}")
+    ids = ids.astype(np.int64)
     if ids.ndim != 1 or (np.diff(ids) <= 0).any():
         raise SeedValuesError("labeled node ids must be distinct and ascending")
     if ids[0] < 0 or ids[-1] >= g.num_nodes:
@@ -118,12 +104,6 @@ def _check_seeds(g: Graph, ids: np.ndarray, values: np.ndarray) -> None:
         )
     if not np.isfinite(values).all():
         raise SeedValuesError("labeled values must be finite")
-
-
-def _seed_arrays(g: Graph, seed_values: dict) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.asarray(sorted(seed_values), dtype=np.int64)
-    values = np.asarray([float(seed_values[int(i)]) for i in ids])
-    _check_seeds(g, ids, values[None, :])
     return ids, values
 
 
@@ -187,38 +167,6 @@ class _Sweeper:
         x_prev.reshape(-1)[self.seeds] = seed_values.reshape(-1)
 
 
-def initialize(g: Graph, seed_values: dict) -> SolverState:
-    """Zero state: both primal iterates, all duals and the average at 0."""
-    _seed_arrays(g, seed_values)
-    return SolverState(
-        x_prev=np.zeros(g.num_nodes),
-        x_cur=np.zeros(g.num_nodes),
-        y=np.zeros(g.num_edges),
-        x_bar=np.zeros(g.num_nodes),
-        r=0,
-        gamma=_step_sizes(g),
-    )
-
-
-def iterate(state: SolverState, g: Graph, seed_values: dict) -> SolverState:
-    """One full sweep; returns a fresh state, inputs untouched."""
-    ids, values = _seed_arrays(g, seed_values)
-    x_new = state.x_prev[None, :].copy()
-    y = state.y[None, :].copy()
-    _Sweeper(g, ids, 1).sweep(x_new, state.x_cur[None, :], y, values[None, :])
-    r = state.r + 1
-    x_bar = (1.0 - 1.0 / r) * state.x_bar + (1.0 / r) * x_new[0]
-    x_bar[ids] = values
-    return SolverState(
-        x_prev=state.x_cur,
-        x_cur=x_new[0],
-        y=y[0],
-        x_bar=x_bar,
-        r=r,
-        gamma=state.gamma,
-    )
-
-
 def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Move the kept leading rows of a to its front; returns the shorter view."""
     n = int(keep.sum())
@@ -237,15 +185,13 @@ def solve_batch(
     seed_ids holds the S labeled node ids in ascending order and the
     (K, S) seed_values their values per problem.  Returns the (K, N)
     matrix whose row k averages problem k's primal iterates of sweeps
-    burn_in+1 .. r, and one diagnostics entry per row.  Non-convergence
+    max_iters//2 + 1 .. r, and one diagnostics entry per row.  Non-convergence
     within max_iters is not an error (the problem always has a solution);
     it is reported through the `converged` flag.
     """
-    seed_ids = np.asarray(seed_ids, dtype=np.int64)
-    seed_values = np.asarray(seed_values, dtype=np.float64)
-    _check_seeds(g, seed_ids, seed_values)
+    seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
     k, n = seed_values.shape[0], g.num_nodes
-    burn_in = config.effective_burn_in
+    burn_in = config.max_iters // 2
     sweeper = _Sweeper(g, seed_ids, k)
     x_prev, x_cur = np.zeros((k, n)), np.zeros((k, n))
     y = np.zeros((k, g.num_edges))
@@ -256,13 +202,9 @@ def solve_batch(
     scores = np.empty((k, n))
     iters = np.full(k, config.max_iters)
     converged = np.zeros(k, dtype=bool)
-    histories = [[] for _ in range(k)]
     for r in range(1, config.max_iters + 1):
         sweeper.sweep(x_prev, x_cur, y, values)
         x_prev, x_cur = x_cur, x_prev
-        if config.record_history:
-            for row, x in zip(rows, x_cur):
-                histories[row].append(x.copy())
         if r <= burn_in:
             continue
         tail_sum += x_cur
@@ -293,7 +235,6 @@ def solve_batch(
             iters=int(iters[j]),
             tv_final=total_variation(g, scores[j]),
             converged=bool(converged[j]),
-            x_hat_history=tuple(histories[j]),
         )
         for j in range(k)
     )
@@ -308,8 +249,8 @@ def solve(
     The one-problem case of :func:`solve_batch`: returns (x_bar,
     diagnostics) for the labeled values given as a {node: value} dict.
     """
-    ids, values = _seed_arrays(g, seed_values)
-    scores, diagnostics = solve_batch(g, ids, values[None, :], config)
+    ids = sorted(seed_values)
+    scores, diagnostics = solve_batch(g, ids, [[seed_values[i] for i in ids]], config)
     return scores[0], diagnostics[0]
 
 

@@ -20,7 +20,7 @@ PUBLIC_API = [
 MODULE_ONLY = {
     "tvclust.graphs": ["incidence_matrix"],
     "tvclust.analysis": ["algebraic_connectivity_of_graph"],
-    "tvclust.solver": ["SolverState", "initialize", "iterate", "round_to_indicator"],
+    "tvclust.solver": ["round_to_indicator"],
 }
 
 

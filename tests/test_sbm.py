@@ -287,6 +287,16 @@ class TestInstance:
         with pytest.raises(InstanceFormatError, match="outside"):
             read_instance(tmp_path)
 
+    def test_zero_seeds_per_cluster_rejected(self, tmp_path):
+        inst = generate_instance(SbmParams((4, 4), 0.9, 0.1), s=1, rng_seed=5)
+        write_instance(inst, tmp_path)
+        header = tmp_path / "header.txt"
+        one, two = inst.seeds.all_nodes
+        text = header.read_text().replace(f"seeds={one},{two}", "seeds=")
+        header.write_text(text.replace("S=1\n", "S=0\n"))
+        with pytest.raises(InstanceFormatError, match="S=0 must be >= 1"):
+            read_instance(tmp_path)
+
     def test_permutation_preserves_structure(self):
         inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=2, rng_seed=13)
         shuffled = permute_instance(inst, rng_seed=3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,20 +10,20 @@ from tvclust.graphs import build_graph, total_variation
 from tvclust.solver import (
     SeedValuesError,
     SolverConfig,
-    initialize,
-    iterate,
     round_to_indicator,
     solve,
+    solve_batch,
 )
 
 TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+PATH2 = build_graph(2, [(0, 1)])
 
 
 def reference_solve(g, seed_values, config):
     """One target at a time, every sweep from fresh arrays: the unbatched loop."""
     idx = np.array(sorted(seed_values))
     vals = np.array([seed_values[i] for i in idx], dtype=float)
-    n, burn_in = g.num_nodes, config.effective_burn_in
+    n, burn_in = g.num_nodes, config.max_iters // 2
     gamma = np.ones(n)
     gamma[g.degrees > 0] = 1.0 / g.degrees[g.degrees > 0]
     x_prev, x, y = np.zeros(n), np.zeros(n), np.zeros(g.num_edges)
@@ -46,95 +48,113 @@ def reference_solve(g, seed_values, config):
 
 
 def assert_same_as_reference(x_bar, diag, reference):
-    ref_x, ref_iters, ref_converged, ref_tv, ref_history = reference
+    ref_x, ref_iters, ref_converged, ref_tv, _ = reference
     assert_array_equal(x_bar, ref_x)
     assert diag.iters == ref_iters
     assert diag.converged == ref_converged
     assert diag.tv_final == ref_tv
-    if diag.x_hat_history:
-        assert len(diag.x_hat_history) == ref_iters
-        for mine, theirs in zip(diag.x_hat_history, ref_history):
-            assert_array_equal(mine, theirs)
+
+
+def sweeps(g, seed_values, max_iters):
+    """Output of a solve of max_iters sweeps; for max_iters <= 2 the burn-in
+    max_iters // 2 leaves only the last sweep's iterate in the average."""
+    return solve(g, seed_values, SolverConfig(max_iters=max_iters, tol=0))[0]
+
+
+def second_sweep_steps(g):
+    """The step size gamma_j of every non-isolated node j, read off a
+    two-sweep solve seeded at 1 on one neighbour i of j.
+
+    Sweep 1 sets x_i = 1; sweep 2 extrapolates x_i to 2, the dual of edge
+    {i, j} clips to +-1, and node j, whose other duals stay 0, moves to
+    exactly gamma_j.
+    """
+    steps = np.full(g.num_nodes, np.nan)
+    for i, j in g.edges.tolist():
+        steps[j] = sweeps(g, {i: 1.0}, 2)[j]
+        steps[i] = sweeps(g, {j: 1.0}, 2)[i]
+    return steps
 
 
 class TestInitialize:
+    """What every solve starts from: zero iterates and duals, step sizes
+    gamma_i = 1/d_i, and a validated labeled set."""
+
     def test_all_zero(self, bridge_graph):
-        state = initialize(bridge_graph, {0: 1.0, 7: 0.0})
-        assert_array_equal(state.x_cur, np.zeros(8))
-        assert_array_equal(state.y, np.zeros(bridge_graph.num_edges))
-        assert_array_equal(state.x_bar, np.zeros(8))
-        assert state.r == 0
+        # from zero iterates and duals the first sweep moves no unlabeled node
+        x_bar = sweeps(bridge_graph, {0: 1.0, 7: 0.0}, 1)
+        assert_array_equal(x_bar, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_gamma_two_node_path(self):
-        g = build_graph(2, [(0, 1)])
-        state = initialize(g, {0: 1.0})
-        assert_array_equal(state.gamma, [1.0, 1.0])
+        assert_array_equal(second_sweep_steps(PATH2), [1.0, 1.0])
 
     def test_gamma_bridge_graph(self, bridge_graph):
-        state = initialize(bridge_graph, {0: 1.0})
         expected = [1 / 2, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 2]
-        assert_allclose(state.gamma, expected)
-
-    def test_isolated_node_gamma_one(self):
-        g = build_graph(3, [(0, 1)])
-        state = initialize(g, {0: 1.0})
-        assert state.gamma[2] == 1.0
+        assert_array_equal(second_sweep_steps(bridge_graph), expected)
 
     def test_empty_seed_set(self, bridge_graph):
         with pytest.raises(SeedValuesError):
-            initialize(bridge_graph, {})
+            solve(bridge_graph, {})
 
     def test_nonfinite_seed_value(self, bridge_graph):
         with pytest.raises(SeedValuesError):
-            initialize(bridge_graph, {0: np.inf})
+            solve(bridge_graph, {0: np.inf})
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda g: cluster(g, {0.6: 1, 3: 2}),
+            lambda g: solve_batch(g, [0.9, 3.2], [[1.0, 0.0]]),
+            lambda g: solve(g, {1.5: 1.0, 3: 0.0}),
+        ],
+        ids=["cluster", "solve_batch", "solve"],
+    )
+    def test_non_integer_seed_id_rejected(self, bridge_graph, entry_point):
+        with pytest.raises(SeedValuesError, match="must be integers"):
+            entry_point(bridge_graph)
+
+    def test_integer_valued_float_ids_accepted(self, bridge_graph):
+        cfg = SolverConfig(max_iters=30)
+        x_float, _ = solve_batch(bridge_graph, [0.0, 7.0], [[1.0, 0.0]], cfg)
+        x_int, _ = solve_batch(bridge_graph, [0, 7], [[1.0, 0.0]], cfg)
+        assert_array_equal(x_float, x_int)
 
 
 class TestIterate:
-    # Hand-traced sweeps on the 2-node path with node 0 clamped to 1.
+    """The sweep, traced by hand on the 2-node path with node 0 clamped to 1,
+    and checked against the reference for short budgets."""
+
     def test_first_sweep(self):
-        g = build_graph(2, [(0, 1)])
-        seeds = {0: 1.0}
-        state = iterate(initialize(g, seeds), g, seeds)
-        assert_array_equal(state.y, [0.0])
-        assert_array_equal(state.x_cur, [1.0, 0.0])
-        assert_array_equal(state.x_bar, [1.0, 0.0])
-        assert state.r == 1
+        x_bar, diag = solve(PATH2, {0: 1.0}, SolverConfig(max_iters=1, tol=0))
+        assert_array_equal(x_bar, [1.0, 0.0])
+        assert diag.iters == 1 and not diag.converged
 
     def test_second_sweep(self):
-        g = build_graph(2, [(0, 1)])
-        seeds = {0: 1.0}
-        state = iterate(initialize(g, seeds), g, seeds)
-        state = iterate(state, g, seeds)
         # extrapolation (2, 0); dual 0 + (1/2)*2 = 1, clipped stays 1;
         # node 1 descends 0 - 1*(-1) = 1; node 0 re-clamped to 1
-        assert_array_equal(state.y, [1.0])
-        assert_array_equal(state.x_cur, [1.0, 1.0])
-        assert_array_equal(state.x_bar, [1.0, 0.5])
-        assert state.r == 2
+        assert_array_equal(sweeps(PATH2, {0: 1.0}, 2), [1.0, 1.0])
 
-    def test_dual_always_clipped(self, bridge_graph):
-        seeds = {0: 5.0, 7: -3.0}
-        state = initialize(bridge_graph, seeds)
-        for _ in range(30):
-            state = iterate(state, bridge_graph, seeds)
-            assert np.abs(state.y).max() <= 1.0
+    def test_dual_always_clipped(self):
+        # the second sweep's jump (1/2) * 2 * value clips to sign(value),
+        # so node 1 moves by gamma_1 = 1 whatever the seed value
+        for value in (1.0, 5.0, 100.0, -3.0):
+            assert_array_equal(sweeps(PATH2, {0: value}, 2), [value, np.sign(value)])
 
     def test_seeds_clamped_every_sweep(self, bridge_graph):
+        # the reference clamps the labeled nodes after every sweep
         seeds = {0: 1.0, 7: 0.0}
-        state = initialize(bridge_graph, seeds)
-        for _ in range(20):
-            state = iterate(state, bridge_graph, seeds)
-            assert state.x_cur[0] == 1.0
-            assert state.x_cur[7] == 0.0
-            assert state.x_bar[0] == 1.0
-            assert state.x_bar[7] == 0.0
+        for max_iters in range(1, 21):
+            cfg = SolverConfig(max_iters=max_iters, tol=0)
+            reference = reference_solve(bridge_graph, seeds, cfg)
+            assert_same_as_reference(*solve(bridge_graph, seeds, cfg), reference)
 
     def test_inputs_not_mutated(self, bridge_graph):
-        seeds = {0: 1.0}
-        state = initialize(bridge_graph, seeds)
-        before = state.x_cur.copy()
-        iterate(state, bridge_graph, seeds)
-        assert_array_equal(state.x_cur, before)
+        # row 0 stalls at once and leaves the batch; the caller's arrays stay
+        ids, values = np.array([0, 7]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        _, diagnostics = solve_batch(bridge_graph, ids, values, SolverConfig(100))
+        assert diagnostics[0].iters < diagnostics[1].iters
+        assert_array_equal(ids, [0, 7])
+        assert_array_equal(values, [[0.0, 0.0], [1.0, 0.0]])
 
 
 class TestConfig:
@@ -146,6 +166,10 @@ class TestConfig:
     def test_bad_max_iters_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+
+    def test_two_fields(self):
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert fields == ["max_iters", "tol"]
 
 
 class TestSolve:
@@ -190,34 +214,17 @@ class TestSolve:
         assert_array_equal(x_bar, np.zeros(6))
         assert diag.converged
 
-    def test_averaging_identity_from_start(self, bridge_graph):
-        # with burn_in=0 the output is the plain mean of all primal iterates
-        seeds = {0: 1.0, 7: 0.0}
-        x_bar, diag = solve(
-            bridge_graph,
-            seeds,
-            SolverConfig(max_iters=50, tol=0, record_history=True, burn_in=0),
-        )
-        explicit = np.mean(diag.x_hat_history, axis=0)
-        assert_allclose(x_bar, explicit, atol=1e-12)
-
-    def test_averaging_identity_state_recursion(self, bridge_graph):
-        # the recursive state average always equals the mean over all sweeps
-        seeds = {0: 1.0, 7: 0.0}
-        state = initialize(bridge_graph, seeds)
-        iterates = []
-        for _ in range(23):
-            state = iterate(state, bridge_graph, seeds)
-            iterates.append(state.x_cur)
-        assert_allclose(state.x_bar, np.mean(iterates, axis=0), atol=1e-12)
-
     def test_averaging_identity_tail_window(self, bridge_graph):
+        # the output is the mean of the primal iterates of sweeps
+        # max_iters//2 + 1 .. max_iters, with the seed entries reset
         seeds = {0: 1.0, 7: 0.0}
-        cfg = SolverConfig(max_iters=40, tol=0, record_history=True, burn_in=10)
-        x_bar, diag = solve(bridge_graph, seeds, cfg)
-        explicit = np.mean(diag.x_hat_history[10:], axis=0)
-        explicit[[0, 7]] = [1.0, 0.0]
-        assert_allclose(x_bar, explicit, atol=1e-12)
+        for max_iters in (40, 41):
+            cfg = SolverConfig(max_iters=max_iters, tol=0)
+            x_bar, _ = solve(bridge_graph, seeds, cfg)
+            history = reference_solve(bridge_graph, seeds, cfg)[-1]
+            explicit = np.mean(history[max_iters // 2 :], axis=0)
+            explicit[[0, 7]] = [1.0, 0.0]
+            assert_allclose(x_bar, explicit, atol=1e-12)
 
     def test_scale_equivariance_of_constraints(self, bridge_graph):
         cfg = SolverConfig(max_iters=2000)
@@ -243,8 +250,8 @@ class TestBatchedKernel:
     CONFIGS = {
         "default_budget": SolverConfig(max_iters=400),
         "max_iters_hit": SolverConfig(max_iters=60, tol=0),
-        "history": SolverConfig(max_iters=300, tol=1e-5, record_history=True),
-        "burn_in_zero": SolverConfig(max_iters=300, tol=1e-4, burn_in=0),
+        "tol_1e-5": SolverConfig(max_iters=300, tol=1e-5),
+        "tol_1e-4": SolverConfig(max_iters=300, tol=1e-4),
     }
 
     @pytest.mark.parametrize("name", CONFIGS)

@@ -260,6 +260,23 @@ class TestCliSweep:
         assert "CliUsageError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
+         "--num-seeds", "1", "--rng-seed", "5", "--max-iters", "0"],
+        ["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
+         "--num-seeds", "1", "--rng-seed", "5", "--tol", "nan"],
+        TestCliSweep.ARGV + ["--max-iters", "0", "--out", "unused.csv"],
+    ],
+    ids=["cluster_max_iters", "cluster_tol", "sweep_max_iters"],
+)
+def test_bad_solver_setting_named_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "error: SolverConfigError: " in capsys.readouterr().err
+
+
 class TestCliAnalyze:
     def test_bridge_style_instance_report(self, tmp_path):
         # hand-written instance: two dense blocks, one bridge, seeds 0 and 7
