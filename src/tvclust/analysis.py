@@ -39,7 +39,7 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from tvclust.graphs import (
-    DENSE_CAP_DEFAULT,
+    DENSE_CAP,
     Graph,
     Partition,
     boundary_edge_count,
@@ -55,6 +55,15 @@ class OracleInputError(ValueError):
 
 class CapacityRangeError(ValueError):
     """An arc capacity is negative or does not fit scipy's int32 max-flow."""
+
+
+class ConditionParameterError(ValueError):
+    """A concentration constant alpha or beta is not finite and positive."""
+
+
+def _check_condition_parameter(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConditionParameterError(f"{name}={value} must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +159,10 @@ def mincut_tv_oracle(g: Graph, seed_values: dict) -> OracleResult:
 # Algebraic connectivity
 # ---------------------------------------------------------------------------
 
-def algebraic_connectivity(lap, dense_cap: int = DENSE_CAP_DEFAULT) -> float:
+def algebraic_connectivity(lap) -> float:
     """Second-smallest eigenvalue of a graph Laplacian.
 
-    Dense symmetric eigendecomposition up to `dense_cap` nodes, Lanczos
+    Dense symmetric eigendecomposition up to DENSE_CAP nodes, Lanczos
     iteration in shift-invert mode beyond.  Eigenvalues indistinguishable
     from zero at working precision are snapped to exactly 0.0, so a
     disconnected graph reports exactly 0 (any true nonzero algebraic
@@ -172,7 +181,7 @@ def algebraic_connectivity(lap, dense_cap: int = DENSE_CAP_DEFAULT) -> float:
         raise ValueError(f"Laplacian not symmetric (defect {sym_defect})")
     if n < 2:
         return 0.0
-    if n <= dense_cap:
+    if n <= DENSE_CAP:
         dense = lap.toarray() if scipy.sparse.issparse(lap) else lap
         second = float(np.linalg.eigvalsh(dense)[1])
     else:
@@ -184,22 +193,6 @@ def algebraic_connectivity(lap, dense_cap: int = DENSE_CAP_DEFAULT) -> float:
         second = float(np.sort(vals)[1])
     zero_snap = 1e-12 * max(n, 1)
     return 0.0 if abs(second) <= zero_snap else second
-
-
-def algebraic_connectivity_of_graph(
-    g: Graph, dense_cap: int = DENSE_CAP_DEFAULT
-) -> float:
-    if g.num_nodes <= dense_cap:
-        return algebraic_connectivity(laplacian(g), dense_cap)
-    rows = np.concatenate([g.heads, g.tails, np.arange(g.num_nodes)])
-    cols = np.concatenate([g.tails, g.heads, np.arange(g.num_nodes)])
-    vals = np.concatenate(
-        [-np.ones(2 * g.num_edges), g.degrees.astype(np.float64)]
-    )
-    lap = scipy.sparse.csc_matrix(
-        (vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)
-    )
-    return algebraic_connectivity(lap, dense_cap)
 
 
 @dataclass(frozen=True)
@@ -215,9 +208,21 @@ def spectral_cut_bound_check(
 ) -> SpectralCutBound:
     """Check (1 - 1/N) * lambda2 >= 2 * boundary_edges for one cluster.
 
-    N is the full graph's node count, as printed in the paper.
+    N is the full graph's node count, as printed in the paper.  lambda2
+    comes from the dense Laplacian up to DENSE_CAP nodes, else a sparse one.
     """
-    lam = algebraic_connectivity_of_graph(cluster_subgraph)
+    g = cluster_subgraph
+    if g.num_nodes <= DENSE_CAP:
+        lap = laplacian(g)
+    else:
+        diag = np.arange(g.num_nodes)
+        lap = scipy.sparse.csc_matrix(
+            (np.concatenate([-np.ones(2 * g.num_edges), g.degrees.astype(np.float64)]),
+             (np.concatenate([g.heads, g.tails, diag]),
+              np.concatenate([g.tails, g.heads, diag]))),
+            shape=(g.num_nodes, g.num_nodes),
+        )
+    lam = algebraic_connectivity(lap)
     lhs = (1.0 - 1.0 / int(n_total)) * lam
     rhs = 2.0 * int(boundary_edges)
     return SpectralCutBound(lhs, rhs, lhs >= rhs, lam)
@@ -397,8 +402,7 @@ def boundary_concentration_bound(
     """Bound on P{boundary edge count >= 2 p_out n_k (N - n_k)}."""
     if not 0.0 <= p_out <= 1.0:
         raise ValueError(f"p_out={p_out} outside [0, 1]")
-    if alpha <= 0:
-        raise ValueError(f"alpha={alpha} must be positive")
+    _check_condition_parameter("alpha", alpha)
     if not 1 <= n_k <= n_total:
         raise ValueError(f"need 1 <= n_k <= n_total, got {n_k}, {n_total}")
     return math.exp(-p_out * n_k * (n_total - n_k) * alpha)
@@ -445,8 +449,8 @@ def recovery_condition_report(
     satisfiable.  Clusters with no possible cross pairs (K = 1) contribute
     no boundary term, only the spectral one.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    _check_condition_parameter("alpha", alpha)
+    _check_condition_parameter("beta", beta)
     n_total = params.num_nodes
     lhs = math.inf if params.p_out == 0 else s * params.p_in / params.p_out
     rows = []

@@ -1,7 +1,8 @@
 """Command-line front end: generate, cluster, sweep, analyze.
 
-Every option can also be supplied through a key=value config file
-(--config); explicit flags win over file values.  All randomness flows
+Every option without a default of its own can also be supplied through a
+key=value config file (--config); explicit flags win over file values, and
+a key the subcommand does not read is a usage error.  All randomness flows
 from --rng-seed, so any command rerun with the same arguments produces
 byte-identical output files.  The worker count for sweeps is taken from
 the TVCLUST_THREADS environment variable (a positive integer, default 1);
@@ -87,11 +88,7 @@ def _read_config_file(path) -> dict[str, str]:
 def _merged(args: argparse.Namespace, key: str, default=None):
     """CLI value if given, else config-file value, else default."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if args.config_values and key in args.config_values:
-        return args.config_values[key]
-    return default
+    return value if value is not None else args.config_values.get(key, default)
 
 
 def _flag(key: str) -> str:
@@ -141,10 +138,11 @@ def _resolve_sizes(args) -> tuple[int, ...]:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=_value(args, "max_iters", int, 2000),
-        tol=_value(args, "tol", float, 1e-6),
-    )
+    """SolverConfig from the solver options given; SolverConfig's defaults
+    fill the rest."""
+    given = {key: _value(args, key, convert)
+             for key, convert in (("max_iters", int), ("tol", float))}
+    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -271,8 +269,7 @@ def cmd_sweep(args) -> int:
         s_values=_require(args, "num_seeds", _parse_ints),
         reps=_require(args, "reps", int),
         rng_seed=_require(args, "rng_seed", int),
-        max_iters=_value(args, "max_iters", int, 2000),
-        tol=_value(args, "tol", float, 1e-6),
+        solver=_solver_config(args),
     )
     out = _require(args, "out", str)
     started = time.perf_counter()
@@ -296,9 +293,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if _merged(args, "instance") is None:
-        raise CliUsageError("analyze needs --instance DIR")
-    instance = read_instance(_merged(args, "instance"))
+    instance = read_instance(_require(args, "instance", str))
     report = analyze_instance(
         instance,
         alpha=_value(args, "alpha", float, 0.1),
@@ -326,12 +321,26 @@ COMMANDS = {
 }
 
 
+def _check_config_keys(parser: argparse.ArgumentParser, args) -> None:
+    """A config-file key must name an option of the subcommand without a
+    default of its own (flags and --format never read the file)."""
+    defaults = vars(parser.parse_args([args.command]))
+    unread = [key for key in args.config_values
+              if key == "config" or defaults.get(key, "") is not None]
+    if unread:
+        raise CliUsageError(
+            f"config key(s) not read by {args.command}: {', '.join(unread)}"
+        )
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         args.config_values = (
             _read_config_file(args.config) if getattr(args, "config", None) else {}
         )
+        _check_config_keys(parser, args)
         return COMMANDS[args.command](args)
     except Exception as exc:  # named errors surface in the exit message
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

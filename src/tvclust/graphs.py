@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Dense incidence/Laplacian matrices are refused above this node count;
-# total variation streams over the edge list instead.
-DENSE_CAP_DEFAULT = 2000
+# Dense incidence/Laplacian matrices are refused above this node count; total
+# variation streams over the edge list and the spectral check goes sparse.
+DENSE_CAP = 2000
 
 
 class GraphInputError(ValueError):
@@ -49,7 +49,7 @@ class PartitionError(ValueError):
 
 
 class DenseCapExceededError(ValueError):
-    """Dense matrix requested for a graph above the configured node cap."""
+    """Dense matrix requested for a graph above DENSE_CAP nodes."""
 
 
 class Graph:
@@ -126,21 +126,14 @@ def build_graph(num_nodes: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(num_nodes, oriented)
 
 
-def _check_signal(g: Graph, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.num_nodes,):
-        raise SignalLengthError(
-            f"signal has shape {x.shape}, expected ({g.num_nodes},)"
-        )
-    return x
+def _refuse_above_cap(g: Graph) -> None:
+    if g.num_nodes > DENSE_CAP:
+        raise DenseCapExceededError(f"{g.num_nodes} nodes exceeds dense cap {DENSE_CAP}")
 
 
-def incidence_matrix(g: Graph, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+def incidence_matrix(g: Graph) -> np.ndarray:
     """E x N signed incidence matrix: +1 at each edge's head, -1 at its tail."""
-    if g.num_nodes > dense_cap:
-        raise DenseCapExceededError(
-            f"{g.num_nodes} nodes exceeds dense cap {dense_cap}"
-        )
+    _refuse_above_cap(g)
     d = np.zeros((g.num_edges, g.num_nodes))
     rows = np.arange(g.num_edges)
     d[rows, g.heads] = 1.0
@@ -148,12 +141,9 @@ def incidence_matrix(g: Graph, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray
     return d
 
 
-def laplacian(g: Graph, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+def laplacian(g: Graph) -> np.ndarray:
     """N x N combinatorial Laplacian: degrees on the diagonal, -1 per edge."""
-    if g.num_nodes > dense_cap:
-        raise DenseCapExceededError(
-            f"{g.num_nodes} nodes exceeds dense cap {dense_cap}"
-        )
+    _refuse_above_cap(g)
     lap = np.zeros((g.num_nodes, g.num_nodes))
     lap[g.heads, g.tails] = -1.0
     lap[g.tails, g.heads] = -1.0
@@ -163,7 +153,9 @@ def laplacian(g: Graph, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
 
 def total_variation(g: Graph, x: np.ndarray) -> float:
     """Sum over edges of |x_j - x_i| (edge-streaming, any graph size)."""
-    x = _check_signal(g, x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (g.num_nodes,):
+        raise SignalLengthError(f"signal has shape {x.shape}, expected ({g.num_nodes},)")
     return float(np.abs(x[g.tails] - x[g.heads]).sum())
 
 

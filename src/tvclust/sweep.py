@@ -38,8 +38,7 @@ class SweepConfig:
     s_values: tuple[int, ...]
     reps: int
     rng_seed: int
-    max_iters: int = 2000
-    tol: float = 1e-6
+    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if not self.p_in_grid:
@@ -57,9 +56,6 @@ class SweepConfig:
                 raise SweepConfigError(
                     f"s={s} exceeds the smallest cluster size {smallest}"
                 )
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(max_iters=self.max_iters, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def run_one(
     instance = generate_instance(
         SbmParams(config.cluster_sizes, p_in, config.p_out), s, instance_seed
     )
-    result = cluster(instance.graph, instance.seeds.labels(), config.solver_config())
+    result = cluster(instance.graph, instance.seeds.labels(), config.solver)
     acc = accuracy(result, instance.truth, instance.seeds)
     wall_ms = int(round(1000 * (time.perf_counter() - start))) if measure_time else 0
     ratio = s * p_in / config.p_out if config.p_out > 0 else float("inf")
@@ -141,21 +137,18 @@ def run_sweep(
 
 
 def aggregate_rows(config: SweepConfig, rows: list[SweepRow]) -> list[AggregateRow]:
-    """Mean/std accuracy over reps for each (grid point, s), in sweep order."""
+    """Mean/std accuracy over reps for each (grid point, s), in sweep order.
+
+    `rows` come in run_sweep's order, one block of config.reps rows per
+    (grid point, s); two grid points with equal (s, ratio) stay apart.
+    """
     out = []
-    by_key: dict[tuple[int, float], list[float]] = {}
-    order = []
-    for row in rows:
-        key = (row.s, row.ratio)
-        if key not in by_key:
-            by_key[key] = []
-            order.append(key)
-        by_key[key].append(row.accuracy)
-    for s, ratio in order:
-        accs = np.asarray(by_key[(s, ratio)])
-        out.append(
-            AggregateRow(s, ratio, float(accs.mean()), float(accs.std()), accs.size)
-        )
+    for lo in range(0, len(rows), config.reps):
+        block = rows[lo:lo + config.reps]
+        accs = np.asarray([row.accuracy for row in block])
+        out.append(AggregateRow(
+            block[0].s, block[0].ratio, float(accs.mean()), float(accs.std()), accs.size
+        ))
     return out
 
 

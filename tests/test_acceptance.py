@@ -6,10 +6,12 @@ reference seeds, so every figure asserted here is reproducible bit for
 bit.
 
 Known red: criterion 4b (cross-curve collapse within 0.1 at matched
-seed-scaled ratios).  The measured curves genuinely differ by ~0.10-0.13
-between S=5 and S=15 in the transition region even with a fully converged
-solver and 400 repetitions, so the stated threshold cannot hold robustly;
-the test asserts the criterion as written and documents the measurement.
+seed-scaled ratios).  On the 10-rep reference sweep the worst difference,
+0.139, has a standard error of 0.102: at 10 reps the verdict is mostly
+sampling noise.  At 400 reps the worst difference is 0.091 with exact
+min-cut solves and 0.112 with the PDHG solver; the two differ by the argmax
+decode of nodes with no unique optimal label, not by solver error.  The
+test asserts the criterion as written and reports the measurement.
 """
 
 import itertools
@@ -200,9 +202,10 @@ def test_criterion_4a_accuracy_monotone_in_ratio(reference_sweep):
 
 def test_criterion_4b_curves_collapse(reference_sweep):
     # As specified: curves for different S agree within 0.1 wherever their
-    # ratio grids intersect.  Measured reality (400 reps, solver budget
-    # x4): the S=5 and S=15 curves differ by ~0.10-0.13 around ratio 45,
-    # so this criterion fails; see the failure message for the worst pairs.
+    # ratio grids intersect.  At these 10 reps it fails (0.139, standard
+    # error 0.102).  At 400 reps the S=5 and S=15 curves differ by 0.091
+    # around ratio 45 with exact min-cut solves and by 0.112 with PDHG,
+    # whose averaged scores decode the non-unique nodes differently.
     diffs = []
     for s1, s2 in itertools.combinations(sorted(reference_sweep), 2):
         curve2 = {round(r, 6): a for r, a in reference_sweep[s2]}
@@ -216,9 +219,10 @@ def test_criterion_4b_curves_collapse(reference_sweep):
     worst, ratio, s1, s2 = diffs[0]
     assert worst < 0.1, (
         f"curves S={s1} and S={s2} differ by {worst:.4f} at matched ratio "
-        f"{ratio:g} (threshold 0.1); the gap persists at 400 reps with a "
-        f"4x solver budget, so it is a property of exact TV minimization "
-        f"on this model, not noise or under-convergence"
+        f"{ratio:g} (threshold 0.1); at 10 reps such a difference has a "
+        f"standard error of about 0.1, and at 400 reps exact min-cut solves "
+        f"give 0.091 and PDHG 0.112, apart by the decode of nodes with no "
+        f"unique optimal label"
     )
     verdict("4b", "curves collapse", f"max matched-ratio diff {worst:.4f}")
 

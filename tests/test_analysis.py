@@ -11,7 +11,6 @@ from tvclust import analysis
 from tvclust.analysis import (
     OracleInputError,
     algebraic_connectivity,
-    algebraic_connectivity_of_graph,
     analyze_instance,
     boundary_concentration_bound,
     format_analysis_text,
@@ -243,22 +242,25 @@ class TestAlgebraicConnectivity:
 
     def test_single_node(self):
         g = build_graph(1, [])
-        assert algebraic_connectivity_of_graph(g) == 0.0
+        assert spectral_cut_bound_check(g, 0, n_total=1).lambda2 == 0.0
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             algebraic_connectivity(np.array([[1.0, 0.5], [-1.0, 1.0]]))
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(6)
         g = random_graph(rng, 40, 0.2)
-        dense = algebraic_connectivity_of_graph(g)
-        iterative = algebraic_connectivity_of_graph(g, dense_cap=10)
+        dense = spectral_cut_bound_check(g, 0, n_total=80).lambda2
+        # above the cap the check builds a sparse Laplacian and runs Lanczos
+        monkeypatch.setattr(analysis, "DENSE_CAP", 10)
+        monkeypatch.setattr(analysis, "laplacian", None)
+        iterative = spectral_cut_bound_check(g, 0, n_total=80).lambda2
         assert abs(dense - iterative) <= 1e-8 * max(1.0, dense)
 
     def test_disjoint_union_zero(self):
         g = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        assert algebraic_connectivity_of_graph(g) == 0.0
+        assert spectral_cut_bound_check(g, 0, n_total=6).lambda2 == 0.0
 
 
 class TestSpectralCutBound:
@@ -570,6 +572,15 @@ class TestRecoveryConditionReport:
     def test_bad_constants(self):
         with pytest.raises(ValueError):
             recovery_condition_report(SbmParams((5, 5), 0.5, 0.1), 1, alpha=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_non_finite_or_non_positive_constants_named(self, bad):
+        params = SbmParams((5, 5), 0.5, 0.1)
+        for kwargs in ({"alpha": bad}, {"beta": bad}):
+            with pytest.raises(analysis.ConditionParameterError):
+                recovery_condition_report(params, 1, **kwargs)
+        with pytest.raises(analysis.ConditionParameterError):
+            boundary_concentration_bound(5, 10, 0.1, bad)
 
 
 def bridge_instance(bridge_graph, bridge_partition):

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_graph
 from tvclust.graphs import (
+    DENSE_CAP,
+    DenseCapExceededError,
     DuplicateEdgeError,
     GraphInputError,
     NodeIndexError,
@@ -110,6 +112,13 @@ class TestIncidenceAndLaplacian:
             g = random_graph(rng, n, 0.4)
             d = incidence_matrix(g)
             assert_array_equal(d.T @ d, laplacian(g))
+
+    def test_dense_matrices_refused_above_cap(self):
+        g = build_graph(DENSE_CAP + 1, [(0, DENSE_CAP)])
+        for dense in (incidence_matrix, laplacian):
+            with pytest.raises(DenseCapExceededError, match=str(DENSE_CAP + 1)):
+                dense(g)
+        assert incidence_matrix(build_graph(DENSE_CAP, [(0, 1)])).shape == (1, DENSE_CAP)
 
     def test_complete_graph_spectrum(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]

@@ -7,6 +7,7 @@ import pytest
 
 from tvclust.cli import main
 from tvclust.sbm import read_instance
+from tvclust.solver import SolverConfig
 from tvclust.sweep import (
     SweepConfig,
     SweepConfigError,
@@ -27,7 +28,7 @@ def small_config(**overrides):
         s_values=(2,),
         reps=2,
         rng_seed=42,
-        max_iters=400,
+        solver=SolverConfig(max_iters=400),
     )
     base.update(overrides)
     return SweepConfig(**base)
@@ -62,6 +63,22 @@ class TestSweepEngine:
             assert entry.reps == len(accs) == 3
             assert entry.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-15)
             assert entry.std_accuracy == pytest.approx(np.std(accs), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "p_out, grid", [(0.0, (0.3, 0.6)), (0.1, (0.3, 0.3))],
+        ids=["p_out_zero", "repeated_p_in"],
+    )
+    def test_aggregate_keeps_equal_ratio_grid_points_apart(self, p_out, grid):
+        # both grids give two grid points with the same (s, ratio) key:
+        # inf when p_out is 0, and one ratio for a repeated p_in
+        config = small_config(p_out=p_out, p_in_grid=grid)
+        rows = run_sweep(config)
+        agg = aggregate_rows(config, rows)
+        assert [a.reps for a in agg] == [2, 2]
+        assert agg[0].ratio == agg[1].ratio
+        for a, block in zip(agg, (rows[:2], rows[2:])):
+            accs = [r.accuracy for r in block]
+            assert a.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-15)
 
     def test_ratio_field_arithmetic(self):
         for row in run_sweep(small_config()):
@@ -252,6 +269,22 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert "CliUsageError" in err and "--max-iters" in err
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [("sweep", "max_iter=3"), ("sweep", "timing=yes"),
+         ("sweep", "config=other.cfg"), ("analyze", "format=text"),
+         ("generate", "permute=yes"), ("cluster", "reps=2")],
+    )
+    def test_config_key_not_read_is_usage_error(self, tmp_path, capsys, command, line):
+        # each of these keys used to be ignored without a word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "CliUsageError" in err and line.split("=")[0] in err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("sizes=8,8\nreps 2\n")
@@ -325,6 +358,24 @@ class TestCliAnalyze:
             assert row["boundary_edge_count"] == "0"
             assert row["spectral_cut_bound_holds"] == "true"
             assert row["condition_lhs"] == "inf"
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "0"),
+         ("--alpha", "inf"), ("--beta", "nan"), ("--beta", "-inf")],
+    )
+    def test_bad_condition_parameter_named_error(self, tmp_path, capsys, option, value):
+        # NaN used to print a NaN bound and exit 0; -1 an unnamed ValueError
+        inst = tmp_path / "inst"
+        main(["generate", "--sizes", "4,4", "--p-in", "1", "--p-out", "0.5",
+              "--num-seeds", "1", "--rng-seed", "2", "--out", str(inst)])
+        capsys.readouterr()
+        code = main(["analyze", "--instance", str(inst), "--format", "text",
+                     f"{option}={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: ConditionParameterError: " in err
+        assert option.lstrip("-") in err
 
     def test_missing_instance_named_error(self, capsys):
         code = main(["analyze", "--format", "text"])
