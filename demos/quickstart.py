@@ -24,7 +24,7 @@ result = cluster(instance.graph, instance.seeds.labels(), SolverConfig())
 acc = accuracy(result, instance.truth, instance.seeds)
 print(f"accuracy over the {instance.graph.num_nodes - 10} unlabeled nodes: {acc}")
 
-# The averaged indicator estimates are nearly binary on a well-separated
+# The indicator estimates are nearly binary on a well-separated
 # instance; peek at a few entries of the cluster-1 score vector.
 np.set_printoptions(precision=3, suppress=True)
 print("cluster-1 indicator estimate, first 8 nodes: ", result.scores[0, :8])

@@ -163,7 +163,8 @@ def algebraic_connectivity(lap) -> float:
     """Second-smallest eigenvalue of a graph Laplacian.
 
     Dense symmetric eigendecomposition up to DENSE_CAP nodes, Lanczos
-    iteration in shift-invert mode beyond.  Eigenvalues indistinguishable
+    iteration in shift-invert mode beyond, from a start vector fixed by n so
+    that every run gives the same digits.  Eigenvalues indistinguishable
     from zero at working precision are snapped to exactly 0.0, so a
     disconnected graph reports exactly 0 (any true nonzero algebraic
     connectivity is orders of magnitude above the snap threshold).
@@ -186,9 +187,10 @@ def algebraic_connectivity(lap) -> float:
         second = float(np.linalg.eigvalsh(dense)[1])
     else:
         sparse = scipy.sparse.csc_matrix(lap)
+        v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         # shift slightly negative so the singular Laplacian can be factorized
         vals = scipy.sparse.linalg.eigsh(
-            sparse, k=2, sigma=-1e-3, which="LM", return_eigenvectors=False
+            sparse, k=2, sigma=-1e-3, which="LM", v0=v0, return_eigenvectors=False
         )
         second = float(np.sort(vals)[1])
     zero_snap = 1e-12 * max(n, 1)

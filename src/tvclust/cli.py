@@ -160,7 +160,8 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", dest="max_iters", help="solver sweep budget")
-    p.add_argument("--tol", help="stationarity threshold on the averaged iterate")
+    p.add_argument("--tol", help="relative duality gap (TV - bound) / max(1, TV) "
+                   "at which a solve stops")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +255,8 @@ def cmd_cluster(args) -> int:
         write_result_csv(out, result, instance.truth, instance.seeds)
     unlabeled = instance.graph.num_nodes - len(instance.seeds.all_nodes)
     print(f"accuracy={acc!r} unlabeled={unlabeled} "
-          f"iters={max(d.iters for d in result.diagnostics)}")
+          f"iters={max(d.iters for d in result.diagnostics)} "
+          f"gap={max(d.gap for d in result.diagnostics)!r}")
     return 0
 
 

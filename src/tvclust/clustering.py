@@ -2,7 +2,7 @@
 
 For each cluster k the labeled nodes define a 0/1 indicator target (1 on
 seeds of cluster k, 0 on every other seed); the K TV-minimization solves
-run as one batch, each produces an averaged indicator estimate, and every
+run as one batch, each produces an indicator estimate, and every
 node is assigned to the cluster whose estimate is largest.  Exact ties go
 to the smallest cluster index, which keeps the decoding deterministic and
 independent of evaluation order.
@@ -27,7 +27,7 @@ class SeedLabelError(ValueError):
 @dataclass(frozen=True)
 class ClusteringResult:
     assignment: np.ndarray  # (N,) estimated cluster index per node, 1..K
-    scores: np.ndarray  # (K, N) averaged indicator estimates
+    scores: np.ndarray  # (K, N) indicator estimates, one solve per row
     diagnostics: tuple[SolveDiagnostics, ...]  # one entry per cluster
 
     @property

@@ -126,8 +126,15 @@ def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
     O(E + PAIR_CHUNK + N) while the realized graph is the one a single
     draw over all pairs would give.
     """
-    n = params.num_nodes
     truth = contiguous_partition(params.cluster_sizes)
+    # the chunks' uniform buffer is freed before the graph is built
+    chunks = _edge_chunks(params, truth, rng_seed)
+    return build_graph(params.num_nodes, np.concatenate(chunks)), truth
+
+
+def _edge_chunks(params: SbmParams, truth: Partition, rng_seed: int) -> list:
+    """The edges `generate` draws, one (m, 2) array per chunk of rows."""
+    n = params.num_nodes
     rng = np.random.Generator(np.random.Philox(rng_seed))
     p_in, p_out = params.p_in, params.p_out
     p_max = max(p_in, p_out)
@@ -137,12 +144,15 @@ def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
     row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
     block_end = np.cumsum(params.cluster_sizes)[truth.assignment - 1]
     chunks = [np.empty((0, 2), dtype=np.int64)]
+    # every chunk's uniforms go to one buffer: a fresh array per chunk is
+    # allocated while the previous one is still bound, two chunks at once
+    buffer = np.empty(min(max(PAIR_CHUNK, n - 1), int(row_start[-1])))
     lo = 0
     while lo < n - 1:
         # rows lo..hi-1: as many whole rows as fit in PAIR_CHUNK, at least one
         hi = np.searchsorted(row_start, row_start[lo] + PAIR_CHUNK, side="right")
         hi = max(int(hi) - 1, lo + 1)
-        u = rng.random(int(row_start[hi] - row_start[lo]))
+        u = rng.random(out=buffer[: int(row_start[hi] - row_start[lo])])
         # u < p(i, j) <= p_max: screen the chunk against p_max, then test
         # the few candidates against their own probability
         pos = np.flatnonzero(u < p_max)
@@ -152,7 +162,7 @@ def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
         keep = u[pos] < np.where(j < block_end[i], p_in, p_out)
         chunks.append(np.column_stack([i[keep], j[keep]]))
         lo = hi
-    return build_graph(n, np.concatenate(chunks)), truth
+    return chunks
 
 
 def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:

@@ -1,45 +1,37 @@
 """Primal-dual message passing for seed-constrained TV minimization.
 
 Finds a signal of minimum total variation among all signals that take
-prescribed values on a labeled node set M.  One kernel,
-:func:`solve_batch`, runs K such problems at once: they share the graph
-and the labeled node ids, and row k of a (K, S) matrix gives problem k's
-labeled values (``cluster()`` passes its K one-vs-rest indicator targets).
-The K primal iterates form one (K, N) array and the dual messages one
-(K, E) array, allocated once and updated in place.  Each sweep is
-two-phase bulk synchronous: an edge phase updates all dual messages from
-the extrapolated primal iterate, then a node phase applies the
-degree-scaled descent step and re-clamps the labeled nodes.  In order, one
-sweep computes, row by row,
+prescribed values on a labeled node set M.  :func:`solve_batch` runs K such
+problems on one graph and labeled set (row k of a (K, S) matrix holds
+problem k's values); a group of rows shares one set of in-place arrays.
+One sweep computes, row by row,
 
     x~_i  = 2 x_i - x_i^prev                      (extrapolation)
     y_e  += (1/2) (x~_head - x~_tail), then clip y_e to [-1, 1]
-    x_i  -= gamma_i * (sum_{e: head=i} y_e - sum_{e: tail=i} y_e)
-    x_i   = value_i  for labeled i                (exact constraint)
+    r_i   = sum_{e: head=i} y_e - sum_{e: tail=i} y_e       (r = div y)
+    x_i  -= gamma_i r_i, then x_i = value_i for labeled i
 
-with fixed step sizes: 1/2 on edges and gamma_i = 1/d_i on nodes (the
-diagonally preconditioned primal-dual splitting, which converges for this
-operator scaling).  Row k's edges are gathered at heads + k N and
-tails + k N of the flattened iterate, and the divergence of all rows is
-one ``np.bincount`` over the flattened heads minus one over the flattened
-tails.  ``bincount`` adds its weights in input order, so every row is
-summed in exactly the order of a one-row solve: a row's result does not
-depend on K or on the other rows.
+with gamma_i = 1/d_i (the diagonally preconditioned primal-dual method of
+Chambolle and Pock, 2011).  A group's rows are gathered at flattened
+indices, and r is one ``np.bincount`` over the heads minus one over the
+tails; bincount adds in input order, so each row is summed exactly as in
+a one-row solve and its result depends neither on K nor on its group.
 
-A from-scratch average remembers the start-up transient forever (its error
-decays only like 1/r even after the iterates have settled), so the solver
-discards the first ``max_iters // 2`` sweeps (the burn-in) and reports the
-average of the remaining primal iterates.
-Its labeled entries are set to the seed values too (a mathematical no-op
-that removes floating-point dust), so they hold the constraint exactly.
-A row stops when its average moves by less than ``tol`` in sup norm over
-one sweep; it then leaves the batch with its own sweep count, so no row
-runs more sweeps than it would alone.
+The stop is certified.  For |y_e| <= 1, TV(x) >= sum_i r_i x_i for every
+x.  Clipping a signal to the range [a, b] of its row's labeled values never
+raises its TV and keeps the labeled values, so some optimum lies in
+[a, b]^N and, by weak duality (Jung, IEEE SPL 2020, gives the flow form),
 
-:func:`solve` is the one-problem case.
+    OPT >= sum_{i in M} v_i r_i + sum_{i not in M} min(a r_i, b r_i).
 
-Isolated nodes have no messages; they keep gamma_i = 1 and simply hold
-their initial value (0, or the clamped seed value).
+Every ``_CHECK_EVERY`` sweeps and after the last, each row keeps its
+clipped iterate of least TV and its greatest bound.  It stops once the
+relative gap (TV - bound) / max(1, TV) is at most ``tol`` and leaves the
+batch with its own sweep count; a row that never certifies returns its
+best checked signal after ``max_iters`` sweeps, unconverged.
+
+:func:`solve` is the one-problem case.  Isolated nodes have no messages;
+they keep gamma_i = 1 and hold their initial value (0 or the seed value).
 """
 
 from __future__ import annotations
@@ -49,7 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.graphs import Graph, total_variation
+from tvclust.graphs import Graph
+
+_CHECK_EVERY = 8  # sweeps between two certificate checks of a row
+# rows x edges swept together: past it batching saves no dispatch cost, and
+# groups keep the (rows, E) buffers a few MB however many rows there are
+_ROW_EDGES = 1 << 16
 
 
 class SeedValuesError(ValueError):
@@ -63,7 +60,7 @@ class SolverConfigError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 2000
-    tol: float = 1e-6  # sup-norm change of the reported average per sweep
+    tol: float = 1e-6  # relative duality gap (TV - bound) / max(1, TV) to stop at
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -75,14 +72,14 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveDiagnostics:
     iters: int
-    tv_final: float
-    converged: bool
+    tv_final: float  # TV of the returned signal
+    converged: bool  # gap <= tol
+    bound: float  # certified lower bound on the optimal TV
+    gap: float  # (tv_final - bound) / max(1, tv_final)
 
     def as_text(self) -> str:
-        return (
-            f"iters={self.iters} tv_final={self.tv_final!r} "
-            f"converged={self.converged}"
-        )
+        return (f"iters={self.iters} tv_final={self.tv_final!r} bound={self.bound!r} "
+                f"gap={self.gap!r} converged={self.converged}")
 
 
 def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarray]:
@@ -107,19 +104,10 @@ def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarra
     return ids, values
 
 
-def _step_sizes(g: Graph) -> np.ndarray:
-    gamma = np.ones(g.num_nodes)
-    nonzero = g.degrees > 0
-    gamma[nonzero] = 1.0 / g.degrees[nonzero]
-    return gamma
-
-
 class _Sweeper:
-    """Step sizes, flattened edge and seed indices and work buffers for k rows.
-
-    The (k, E) edge gathers go to buffers allocated once: a fresh array of
-    that size per sweep costs a page fault per 4 KiB whenever the allocator
-    returns it to the system between sweeps.
+    """Step sizes, flattened edge and seed indices and work buffers for k
+    rows.  The (k, E) gathers go to buffers allocated once: a fresh array per
+    sweep costs a page fault per 4 KiB whenever it is returned to the system.
     """
 
     def __init__(self, g: Graph, seed_ids: np.ndarray, rows: int):
@@ -127,7 +115,7 @@ class _Sweeper:
         self.heads = (g.heads + offsets).ravel()
         self.tails = (g.tails + offsets).ravel()
         self.seeds = (seed_ids + offsets).ravel()
-        self.gamma = _step_sizes(g)
+        self.gamma = 1.0 / np.maximum(g.degrees, 1)  # 1 on isolated nodes
         self.x_tilde = np.empty((rows, g.num_nodes))
         self.diff = np.empty(self.heads.size)
         self.at_tails = np.empty(self.heads.size)
@@ -142,10 +130,10 @@ class _Sweeper:
         self.diff = self.diff[: self.heads.size]
         self.at_tails = self.at_tails[: self.heads.size]
 
-    def sweep(self, x_prev, x_cur, y, seed_values) -> None:
-        """One sweep in place: updates the (k, E) messages y and overwrites
-        x_prev with the new (k, N) iterate; the caller then swaps x_prev and
-        x_cur.  All arrays are C-contiguous, seed_values is (k, S).
+    def sweep(self, x_prev, x_cur, y, seed_values) -> np.ndarray:
+        """One sweep in place: updates the (k, E) messages y, overwrites
+        x_prev with the new (k, N) iterate and returns r = div y; the caller
+        then swaps x_prev and x_cur.  seed_values is (k, S).
         """
         x_tilde = self.x_tilde
         np.multiply(x_cur, 2.0, out=x_tilde)
@@ -162,9 +150,26 @@ class _Sweeper:
         divergence = np.bincount(self.heads, weights=y_flat, minlength=x_flat.size)
         divergence -= np.bincount(self.tails, weights=y_flat, minlength=x_flat.size)
         divergence = divergence.reshape(x_tilde.shape)
-        divergence *= self.gamma
-        np.subtract(x_cur, divergence, out=x_prev)
+        np.multiply(divergence, self.gamma, out=x_prev)
+        np.subtract(x_cur, x_prev, out=x_prev)
         x_prev.reshape(-1)[self.seeds] = seed_values.reshape(-1)
+        return divergence
+
+    def certify(self, x, divergence, seed_values):
+        """The (k, N) iterate x clipped to each row's seed-value range [lo,
+        hi] (a view of a work buffer), its TV per row, and the weak-duality
+        bound per row of the messages whose divergence is given."""
+        lo = seed_values.min(axis=1, keepdims=True)
+        hi = seed_values.max(axis=1, keepdims=True)
+        clipped = np.clip(x, lo, hi, out=self.x_tilde)
+        flat = clipped.reshape(-1)
+        diff = flat.take(self.heads, out=self.diff, mode="clip")
+        diff -= flat.take(self.tails, out=self.at_tails, mode="clip")
+        tv = np.abs(diff, out=diff).reshape(len(x), -1).sum(axis=1)
+        terms = np.minimum(divergence * lo, divergence * hi)
+        at_seeds = divergence.reshape(-1)[self.seeds] * seed_values.reshape(-1)
+        terms.reshape(-1)[self.seeds] = at_seeds
+        return clipped, tv, terms.sum(axis=1)
 
 
 def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -184,70 +189,65 @@ def solve_batch(
 
     seed_ids holds the S labeled node ids in ascending order and the
     (K, S) seed_values their values per problem.  Returns the (K, N)
-    matrix whose row k averages problem k's primal iterates of sweeps
-    max_iters//2 + 1 .. r, and one diagnostics entry per row.  Non-convergence
-    within max_iters is not an error (the problem always has a solution);
-    it is reported through the `converged` flag.
+    matrix whose row k is problem k's checked iterate of least TV, clipped
+    to the range of its labeled values, and one diagnostics entry per row.
+    Non-convergence within max_iters is not an error (the problem always
+    has a solution); it is reported through the `converged` flag.  Rows
+    are swept in groups of max(1, _ROW_EDGES // E).
     """
     seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
+    scores, diagnostics = np.empty((len(seed_values), g.num_nodes)), []
+    group = max(1, _ROW_EDGES // max(1, g.num_edges))
+    for i in range(0, len(scores), group):
+        part = slice(i, i + group)
+        diagnostics += _solve_rows(g, seed_ids, seed_values[part], config, scores[part])
+    return scores, tuple(diagnostics)
+
+
+def _solve_rows(g, seed_ids, seed_values, config, scores) -> list[SolveDiagnostics]:
+    """solve_batch on one group of rows, writing their signals to scores."""
     k, n = seed_values.shape[0], g.num_nodes
-    burn_in = config.max_iters // 2
     sweeper = _Sweeper(g, seed_ids, k)
     x_prev, x_cur = np.zeros((k, n)), np.zeros((k, n))
     y = np.zeros((k, g.num_edges))
-    tail_sum = np.zeros((k, n))
-    out_bar, prev_bar = np.zeros((k, n)), np.zeros((k, n))
     values = seed_values.copy()
     rows = np.arange(k)  # the problem each active row solves
-    scores = np.empty((k, n))
+    tv, bound, gap = np.full(k, np.inf), np.full(k, -np.inf), np.empty(k)
     iters = np.full(k, config.max_iters)
-    converged = np.zeros(k, dtype=bool)
     for r in range(1, config.max_iters + 1):
-        sweeper.sweep(x_prev, x_cur, y, values)
+        divergence = sweeper.sweep(x_prev, x_cur, y, values)
         x_prev, x_cur = x_cur, x_prev
-        if r <= burn_in:
+        if r % _CHECK_EVERY and r < config.max_iters:
             continue
-        tail_sum += x_cur
-        prev_bar, out_bar = out_bar, prev_bar
-        np.divide(tail_sum, r - burn_in, out=out_bar)
-        if r - burn_in < 2:
-            continue
-        change = np.abs(np.subtract(out_bar, prev_bar, out=prev_bar)).max(axis=1)
-        stop = change < config.tol
+        clipped, tv_now, bound_now = sweeper.certify(x_cur, divergence, values)
+        better = tv_now < tv[rows]
+        scores[rows[better]] = clipped[better]
+        tv[rows[better]] = tv_now[better]
+        bound[rows] = np.maximum(bound[rows], bound_now)
+        gap[rows] = (tv[rows] - bound[rows]) / np.maximum(1.0, tv[rows])
+        stop = gap[rows] <= config.tol
         if not stop.any():
             continue
-        done = rows[stop]
-        scores[done] = out_bar[stop]
-        iters[done] = r
-        converged[done] = True
-        keep = ~stop
-        x_prev, x_cur, y, tail_sum, out_bar, values, rows = (
-            _compact(a, keep) for a in (x_prev, x_cur, y, tail_sum, out_bar, values, rows)
+        iters[rows[stop]] = r
+        x_prev, x_cur, y, values, rows = (
+            _compact(a, ~stop) for a in (x_prev, x_cur, y, values, rows)
         )
-        prev_bar = prev_bar[: rows.size]
         sweeper.keep_rows(rows.size)
         if rows.size == 0:
             break
-    scores[rows] = out_bar
-    scores[:, seed_ids] = seed_values  # exact by construction; remove float dust
-    diagnostics = tuple(
-        SolveDiagnostics(
-            iters=int(iters[j]),
-            tv_final=total_variation(g, scores[j]),
-            converged=bool(converged[j]),
-        )
-        for j in range(k)
-    )
-    return scores, diagnostics
+    return [
+        SolveDiagnostics(int(i), float(t), bool(e <= config.tol), float(b), float(e))
+        for i, t, b, e in zip(iters, tv, bound, gap)
+    ]
 
 
 def solve(
     g: Graph, seed_values: dict, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Run sweeps until the reported average stalls or max_iters is reached.
+    """Run sweeps until the duality gap is certified or max_iters is reached.
 
-    The one-problem case of :func:`solve_batch`: returns (x_bar,
-    diagnostics) for the labeled values given as a {node: value} dict.
+    The one-problem case of :func:`solve_batch`: returns (x, diagnostics)
+    for the labeled values given as a {node: value} dict.
     """
     ids = sorted(seed_values)
     scores, diagnostics = solve_batch(g, ids, [[seed_values[i] for i in ids]], config)

@@ -9,7 +9,9 @@ Known red: criterion 4b (cross-curve collapse within 0.1 at matched
 seed-scaled ratios).  On the 10-rep reference sweep the worst difference,
 0.139, has a standard error of 0.102: at 10 reps the verdict is mostly
 sampling noise.  At 400 reps the worst difference is 0.091 with exact
-min-cut solves and 0.112 with the PDHG solver; the two differ by the argmax
+min-cut solves and 0.112 with the PDHG solver as it then was, which decoded
+averaged iterates (the old tail-average decode; today's clipped last
+iterate has not been measured at 400 reps); the two differ by the argmax
 decode of nodes with no unique optimal label, not by solver error.  The
 test asserts the criterion as written and reports the measurement.
 """
@@ -204,8 +206,9 @@ def test_criterion_4b_curves_collapse(reference_sweep):
     # As specified: curves for different S agree within 0.1 wherever their
     # ratio grids intersect.  At these 10 reps it fails (0.139, standard
     # error 0.102).  At 400 reps the S=5 and S=15 curves differ by 0.091
-    # around ratio 45 with exact min-cut solves and by 0.112 with PDHG,
-    # whose averaged scores decode the non-unique nodes differently.
+    # around ratio 45 with exact min-cut solves and by 0.112 with PDHG's
+    # old tail-average decode, whose averaged scores decode the non-unique
+    # nodes differently.
     diffs = []
     for s1, s2 in itertools.combinations(sorted(reference_sweep), 2):
         curve2 = {round(r, 6): a for r, a in reference_sweep[s2]}
@@ -221,8 +224,8 @@ def test_criterion_4b_curves_collapse(reference_sweep):
         f"curves S={s1} and S={s2} differ by {worst:.4f} at matched ratio "
         f"{ratio:g} (threshold 0.1); at 10 reps such a difference has a "
         f"standard error of about 0.1, and at 400 reps exact min-cut solves "
-        f"give 0.091 and PDHG 0.112, apart by the decode of nodes with no "
-        f"unique optimal label"
+        f"give 0.091 and PDHG with the old tail-average decode 0.112, apart "
+        f"by the decode of nodes with no unique optimal label"
     )
     verdict("4b", "curves collapse", f"max matched-ratio diff {worst:.4f}")
 

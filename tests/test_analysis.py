@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,9 @@ from tvclust.graphs import (
 )
 from tvclust.sbm import SbmParams, SeedSet, SbmInstance, generate, generate_instance
 from tvclust.solver import SolverConfig
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_min_tv(g, seeds):
@@ -261,6 +268,28 @@ class TestAlgebraicConnectivity:
     def test_disjoint_union_zero(self):
         g = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         assert spectral_cut_bound_check(g, 0, n_total=6).lambda2 == 0.0
+
+    def test_iterative_path_reproducible_across_processes(self):
+        # above DENSE_CAP, Lanczos from ARPACK's random start gave lambda2
+        # digits that differed from run to run; each fresh process must
+        # print the same digits
+        script = (
+            "import numpy as np\n"
+            "from tvclust.analysis import spectral_cut_bound_check\n"
+            "from tvclust.graphs import build_graph\n"
+            "rng, n = np.random.default_rng(5), 2100\n"
+            "ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])\n"
+            "pairs = np.sort(np.vstack([ring, rng.integers(0, n, (3 * n, 2))]), 1)\n"
+            "pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)\n"
+            "print(repr(spectral_cut_bound_check(build_graph(n, pairs), 0, n).lambda2))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        printed = [
+            subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True).stdout
+            for _ in range(2)
+        ]
+        assert printed[0] == printed[1] and float(printed[0]) > 0
 
 
 class TestSpectralCutBound:

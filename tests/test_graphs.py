@@ -43,6 +43,17 @@ class TestBuildGraph:
         assert g.num_edges == 0
         assert_array_equal(g.degrees, [0, 0, 0])
 
+    @pytest.mark.parametrize("num_nodes", [0, -3, 2**40])
+    def test_node_count_outside_int32_ids_rejected(self, num_nodes):
+        # ids are stored as int32, so a graph holds at most 2**31 nodes
+        with pytest.raises(GraphInputError, match="num_nodes must be in"):
+            build_graph(num_nodes, [])
+
+    def test_edges_stored_as_int32(self, bridge_graph):
+        assert bridge_graph.edges.dtype == np.int32
+        big = build_graph(2**16 + 2, [(0, 2**16 + 1), (2**16, 2**16 + 1)])
+        assert big.edges.tolist() == [[0, 2**16 + 1], [2**16, 2**16 + 1]]
+
     def test_bridge_graph_degrees(self, bridge_graph):
         assert_array_equal(bridge_graph.degrees, [2, 3, 3, 3, 3, 3, 3, 2])
 

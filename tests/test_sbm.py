@@ -107,7 +107,8 @@ class TestGenerate:
 
 
 def all_pairs_edges(params, rng_seed):
-    """Reference draw: one uniform per pair of the full triu_indices list."""
+    """Reference draw: one uniform per pair of the full triu_indices list,
+    as the int32 (head, tail) rows a Graph stores."""
     n = params.num_nodes
     truth = contiguous_partition(params.cluster_sizes)
     rng = np.random.Generator(np.random.Philox(rng_seed))
@@ -115,7 +116,7 @@ def all_pairs_edges(params, rng_seed):
     same = truth.assignment[iu] == truth.assignment[ju]
     prob = np.where(same, params.p_in, params.p_out)
     hit = rng.random(iu.size) < prob
-    return np.column_stack([iu[hit], ju[hit]])
+    return np.column_stack([iu[hit], ju[hit]]).astype(np.int32)
 
 
 def random_params(rng):

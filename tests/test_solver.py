@@ -4,30 +4,38 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
+from tvclust.analysis import mincut_tv_oracle
 from tvclust.clustering import cluster, indicator_targets
 from tvclust.graphs import build_graph, total_variation
+from tvclust import solver
+from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import (
     SeedValuesError,
     SolverConfig,
+    _Sweeper,
     round_to_indicator,
     solve,
     solve_batch,
 )
+from tvclust.sweep import derive_instance_seed
 
 TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
 PATH2 = build_graph(2, [(0, 1)])
+CHECK_EVERY = 8  # the kernel's fixed check cadence
 
 
 def reference_solve(g, seed_values, config):
-    """One target at a time, every sweep from fresh arrays: the unbatched loop."""
+    """One target at a time, every sweep from fresh arrays: the unbatched
+    loop with the certified stop.  Returns (x, iters, converged, tv, bound,
+    gap)."""
     idx = np.array(sorted(seed_values))
     vals = np.array([seed_values[i] for i in idx], dtype=float)
-    n, burn_in = g.num_nodes, config.max_iters // 2
+    lo, hi, n = vals.min(), vals.max(), g.num_nodes
     gamma = np.ones(n)
     gamma[g.degrees > 0] = 1.0 / g.degrees[g.degrees > 0]
     x_prev, x, y = np.zeros(n), np.zeros(n), np.zeros(g.num_edges)
-    tail_sum, out_bar, history, converged = np.zeros(n), np.zeros(n), [], False
+    best, best_tv, best_bound = None, np.inf, -np.inf
     for r in range(1, config.max_iters + 1):
         x_tilde = 2.0 * x - x_prev
         y = np.clip(y + 0.5 * (x_tilde[g.heads] - x_tilde[g.tails]), -1.0, 1.0)
@@ -35,35 +43,54 @@ def reference_solve(g, seed_values, config):
         divergence -= np.bincount(g.tails, weights=y, minlength=n)
         x_prev, x = x, x - gamma * divergence
         x[idx] = vals
-        history.append(x.copy())
-        if r <= burn_in:
+        if r % CHECK_EVERY and r < config.max_iters:
             continue
-        tail_sum += x
-        prev_bar, out_bar = out_bar, tail_sum / (r - burn_in)
-        if r - burn_in >= 2 and np.abs(out_bar - prev_bar).max() < config.tol:
-            converged = True
+        clipped = np.clip(x, lo, hi)
+        tv = np.abs(clipped[g.heads] - clipped[g.tails]).sum()
+        terms = np.minimum(lo * divergence, hi * divergence)
+        terms[idx] = vals * divergence[idx]
+        if tv < best_tv:
+            best, best_tv = clipped, tv
+        best_bound = max(best_bound, terms.sum())
+        gap = (best_tv - best_bound) / max(1.0, best_tv)
+        if gap <= config.tol:
             break
-    out_bar[idx] = vals
-    return out_bar, r, converged, total_variation(g, out_bar), history
+    return best, r, gap <= config.tol, best_tv, best_bound, gap
 
 
-def assert_same_as_reference(x_bar, diag, reference):
-    ref_x, ref_iters, ref_converged, ref_tv, _ = reference
-    assert_array_equal(x_bar, ref_x)
+def assert_same_as_reference(x, diag, reference):
+    ref_x, ref_iters, ref_converged, ref_tv, ref_bound, ref_gap = reference
+    assert_array_equal(x, ref_x)
     assert diag.iters == ref_iters
     assert diag.converged == ref_converged
     assert diag.tv_final == ref_tv
+    assert diag.bound == ref_bound
+    assert diag.gap == ref_gap
 
 
 def sweeps(g, seed_values, max_iters):
-    """Output of a solve of max_iters sweeps; for max_iters <= 2 the burn-in
-    max_iters // 2 leaves only the last sweep's iterate in the average."""
+    """Output of a solve of max_iters <= CHECK_EVERY sweeps: the last
+    iterate, clipped to the range of the seed values."""
     return solve(g, seed_values, SolverConfig(max_iters=max_iters, tol=0))[0]
 
 
+def raw_iterate(g, seed_values, count):
+    """The kernel's primal iterate after `count` sweeps from zero, before
+    the clip to the seed-value range."""
+    ids = np.array(sorted(seed_values))
+    values = np.array([[seed_values[i] for i in ids]], dtype=float)
+    sweeper = _Sweeper(g, ids, 1)
+    x_prev, x = np.zeros((1, g.num_nodes)), np.zeros((1, g.num_nodes))
+    y = np.zeros((1, g.num_edges))
+    for _ in range(count):
+        sweeper.sweep(x_prev, x, y, values)
+        x_prev, x = x, x_prev
+    return x[0]
+
+
 def second_sweep_steps(g):
-    """The step size gamma_j of every non-isolated node j, read off a
-    two-sweep solve seeded at 1 on one neighbour i of j.
+    """The step size gamma_j of every non-isolated node j, read off the
+    iterate of two sweeps seeded at 1 on one neighbour i of j.
 
     Sweep 1 sets x_i = 1; sweep 2 extrapolates x_i to 2, the dual of edge
     {i, j} clips to +-1, and node j, whose other duals stay 0, moves to
@@ -71,8 +98,8 @@ def second_sweep_steps(g):
     """
     steps = np.full(g.num_nodes, np.nan)
     for i, j in g.edges.tolist():
-        steps[j] = sweeps(g, {i: 1.0}, 2)[j]
-        steps[i] = sweeps(g, {j: 1.0}, 2)[i]
+        steps[j] = raw_iterate(g, {i: 1.0}, 2)[j]
+        steps[i] = raw_iterate(g, {j: 1.0}, 2)[i]
     return steps
 
 
@@ -125,20 +152,25 @@ class TestIterate:
     and checked against the reference for short budgets."""
 
     def test_first_sweep(self):
-        x_bar, diag = solve(PATH2, {0: 1.0}, SolverConfig(max_iters=1, tol=0))
-        assert_array_equal(x_bar, [1.0, 0.0])
-        assert diag.iters == 1 and not diag.converged
+        assert_array_equal(raw_iterate(PATH2, {0: 1.0}, 1), [1.0, 0.0])
+        # one seed value: the clip to [1, 1] gives the constant optimum,
+        # and its certificate (TV 0, bound 0) holds after the one sweep
+        x, diag = solve(PATH2, {0: 1.0}, SolverConfig(max_iters=1, tol=0))
+        assert_array_equal(x, [1.0, 1.0])
+        assert (diag.iters, diag.tv_final, diag.bound, diag.gap) == (1, 0, 0, 0)
+        assert diag.converged
 
     def test_second_sweep(self):
         # extrapolation (2, 0); dual 0 + (1/2)*2 = 1, clipped stays 1;
         # node 1 descends 0 - 1*(-1) = 1; node 0 re-clamped to 1
-        assert_array_equal(sweeps(PATH2, {0: 1.0}, 2), [1.0, 1.0])
+        assert_array_equal(raw_iterate(PATH2, {0: 1.0}, 2), [1.0, 1.0])
 
     def test_dual_always_clipped(self):
         # the second sweep's jump (1/2) * 2 * value clips to sign(value),
         # so node 1 moves by gamma_1 = 1 whatever the seed value
         for value in (1.0, 5.0, 100.0, -3.0):
-            assert_array_equal(sweeps(PATH2, {0: value}, 2), [value, np.sign(value)])
+            x = raw_iterate(PATH2, {0: value}, 2)
+            assert_array_equal(x, [value, np.sign(value)])
 
     def test_seeds_clamped_every_sweep(self, bridge_graph):
         # the reference clamps the labeled nodes after every sweep
@@ -149,7 +181,8 @@ class TestIterate:
             assert_same_as_reference(*solve(bridge_graph, seeds, cfg), reference)
 
     def test_inputs_not_mutated(self, bridge_graph):
-        # row 0 stalls at once and leaves the batch; the caller's arrays stay
+        # row 0 certifies at the first check and leaves the batch; the
+        # caller's arrays stay
         ids, values = np.array([0, 7]), np.array([[0.0, 0.0], [1.0, 0.0]])
         _, diagnostics = solve_batch(bridge_graph, ids, values, SolverConfig(100))
         assert diagnostics[0].iters < diagnostics[1].iters
@@ -214,17 +247,20 @@ class TestSolve:
         assert_array_equal(x_bar, np.zeros(6))
         assert diag.converged
 
-    def test_averaging_identity_tail_window(self, bridge_graph):
-        # the output is the mean of the primal iterates of sweeps
-        # max_iters//2 + 1 .. max_iters, with the seed entries reset
-        seeds = {0: 1.0, 7: 0.0}
-        for max_iters in (40, 41):
-            cfg = SolverConfig(max_iters=max_iters, tol=0)
-            x_bar, _ = solve(bridge_graph, seeds, cfg)
-            history = reference_solve(bridge_graph, seeds, cfg)[-1]
-            explicit = np.mean(history[max_iters // 2 :], axis=0)
-            explicit[[0, 7]] = [1.0, 0.0]
-            assert_allclose(x_bar, explicit, atol=1e-12)
+    def test_clipped_last_iterate(self, bridge_graph):
+        # here every check lowers the TV, so the output is the iterate of
+        # the last check clipped to the seed range [-1.7, 0.3], and its
+        # certificate is about that signal; it certifies at sweep 16
+        seeds = {0: 0.3, 7: -1.7}
+        for max_iters in (5, 7, 12, 2000):
+            x, diag = solve(bridge_graph, seeds, SolverConfig(max_iters, tol=1e-6))
+            assert diag.iters == min(max_iters, 16)
+            last = raw_iterate(bridge_graph, seeds, diag.iters)
+            assert_array_equal(x, np.clip(last, -1.7, 0.3))
+            assert diag.tv_final == total_variation(bridge_graph, x)
+            tv, bound = diag.tv_final, diag.bound
+            assert diag.gap == (tv - bound) / max(1.0, tv)
+            assert diag.converged == (diag.gap <= 1e-6) == (max_iters >= 16)
 
     def test_scale_equivariance_of_constraints(self, bridge_graph):
         cfg = SolverConfig(max_iters=2000)
@@ -244,6 +280,84 @@ class TestSolve:
             assert diag.tv_final <= rounded_tv + 1e-3
 
 
+class TestCertificate:
+    """The reported bound and gap against exact optima: max-flow for binary
+    seeds, and for two seed values a < b the binary optimum times b - a
+    (TV commutes with the affine map from {0, 1} to {a, b})."""
+
+    @staticmethod
+    def slack(opt):
+        # the bound and TV are float sums; they may pass an exact optimum
+        # by rounding (about 1e-16 relative)
+        return 1e-12 * max(1.0, opt)
+
+    def test_bound_brackets_exact_optimum(self):
+        rng = np.random.default_rng(16)
+        outcomes = set()
+        for trial in range(60):
+            config = SolverConfig(max_iters=(8, 24, 2000)[trial % 3])
+            n = int(rng.integers(5, 25))
+            g = random_graph(rng, n, float(rng.uniform(0.15, 0.6)))
+            k_max = int(rng.integers(2, 5))
+            size = min(n, k_max + int(rng.integers(0, 4)))
+            ids = rng.choice(n, size=size, replace=False)
+            labels = {int(i): c % k_max + 1 for c, i in enumerate(ids)}
+            result = cluster(g, labels, config)
+            for k, diag in enumerate(result.diagnostics, start=1):
+                opt = mincut_tv_oracle(g, indicator_targets(labels, k)).optimal_tv
+                slack = self.slack(opt)
+                assert diag.bound <= opt + slack
+                assert opt <= diag.tv_final + slack
+                assert diag.tv_final == total_variation(g, result.scores[k - 1])
+                assert diag.converged == (diag.gap <= config.tol)
+                if diag.converged:
+                    excess = diag.tv_final - opt
+                    assert excess <= config.tol * max(1.0, diag.tv_final) + slack
+                outcomes.add((config.max_iters, diag.converged))
+        assert {(8, False), (24, False), (24, True), (2000, True)} <= outcomes
+
+    @pytest.mark.parametrize("budget", [8, 40, 2000])
+    def test_non_binary_seed_values(self, budget):
+        rng = np.random.default_rng(17)
+        config = SolverConfig(max_iters=budget)
+        for _ in range(20):
+            n = int(rng.integers(6, 20))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.6)))
+            ids = np.sort(rng.choice(n, size=4, replace=False))
+            two = [0.3, -1.7, 0.3, -1.7]
+            values = np.array([two, rng.uniform(-2.0, 2.0, 4), [5.0, 5.0, 5.0, 5.0]])
+            scores, diagnostics = solve_batch(g, ids, values, config)
+            for row, diag, v in zip(scores, diagnostics, values):
+                assert v.min() <= row.min() and row.max() <= v.max()
+                assert_array_equal(row[ids], v)
+                assert diag.bound <= diag.tv_final + self.slack(diag.tv_final)
+            binary = {int(i): float(v == 0.3) for i, v in zip(ids, two)}
+            opt = 2.0 * mincut_tv_oracle(g, binary).optimal_tv
+            assert diagnostics[0].bound <= opt + self.slack(opt)
+            assert opt <= diagnostics[0].tv_final + self.slack(opt)
+            if diagnostics[0].converged:
+                excess = diagnostics[0].tv_final - opt
+                tv = diagnostics[0].tv_final
+                assert excess <= config.tol * max(1.0, tv) + self.slack(opt)
+            assert diagnostics[2].tv_final == 0.0 and diagnostics[2].converged
+
+    def test_reference_protocol_sweep_budget(self):
+        # the first rep of the reference sweep (sizes 50,50, p_out 0.025,
+        # p_in 0.025..0.5, S in {5, 10, 15}, master seed 1): every solve
+        # certifies, and the sweep's iters column sums to at most 20,000
+        # (60,180 with the old burn-in and stall rule)
+        total = 0
+        for grid_i in range(20):
+            p_in = round(0.025 * (grid_i + 1), 12)
+            for s_i, s in enumerate((5, 10, 15)):
+                seed = derive_instance_seed(1, grid_i, s_i, 0)
+                instance = generate_instance(SbmParams((50, 50), p_in, 0.025), s, seed)
+                result = cluster(instance.graph, instance.seeds.labels())
+                assert all(d.converged for d in result.diagnostics)
+                total += max(d.iters for d in result.diagnostics)
+        assert total <= 20_000
+
+
 class TestBatchedKernel:
     """cluster() and solve() give bit for bit the unbatched reference."""
 
@@ -258,7 +372,7 @@ class TestBatchedKernel:
     def test_cluster_matches_reference(self, name):
         config = self.CONFIGS[name]
         rng = np.random.default_rng(11)
-        distinct_stops = 0
+        distinct_stops = budget_hits = 0
         for trial in range(8):
             g = random_connected_graph(rng, 14, 0.3)
             k_max = 1 + trial % 4
@@ -274,10 +388,28 @@ class TestBatchedKernel:
                     result.scores[k - 1], result.diagnostics[k - 1], reference
                 )
             distinct_stops += len({d.iters for d in result.diagnostics}) > 1
+            budget_hits += sum(
+                d.iters == config.max_iters and not d.converged
+                for d in result.diagnostics
+            )
+        assert distinct_stops > 0
         if name == "max_iters_hit":
-            assert distinct_stops == 0
-        else:
-            assert distinct_stops > 0
+            assert budget_hits > 0
+
+    def test_row_groups_match_reference(self):
+        # about 29,000 edges: rows go in groups of two, so three targets
+        # run as a group of two and a group of one
+        rng = np.random.default_rng(13)
+        g = random_connected_graph(rng, 250, 0.93)
+        assert solver._ROW_EDGES // g.num_edges == 2
+        labels = {0: 1, 1: 2, 2: 3, 3: 1, 4: 3}
+        config = SolverConfig(max_iters=60)
+        result = cluster(g, labels, config)
+        for k in range(1, 4):
+            reference = reference_solve(g, indicator_targets(labels, k), config)
+            assert_same_as_reference(
+                result.scores[k - 1], result.diagnostics[k - 1], reference
+            )
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_solve_matches_reference(self, name):

@@ -175,6 +175,17 @@ class TestCliCluster:
         assert code == 0
         assert "accuracy=1.0" in capsys.readouterr().out
 
+    def test_summary_reports_worst_gap(self, capsys):
+        argv = ["cluster", "--sizes", "30,30", "--p-in", "0.3", "--p-out", "0.02",
+                "--num-seeds", "2", "--rng-seed", "5"]
+        gaps = []
+        for budget in ("9", "2000"):
+            assert main(argv + ["--max-iters", budget]) == 0
+            fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+            gaps.append(float(fields["gap"]))
+        # 9 sweeps certify nothing; the default budget certifies every solve
+        assert gaps[0] > 1e-6 >= gaps[1]
+
 
 class TestCliSweep:
     ARGV = ["sweep", "--sizes", "8,8", "--p-out", "0.05", "--p-in-grid", "0.3,0.6",
