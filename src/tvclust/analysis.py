@@ -169,15 +169,12 @@ def algebraic_connectivity(lap) -> float:
     disconnected graph reports exactly 0 (any true nonzero algebraic
     connectivity is orders of magnitude above the snap threshold).
     """
-    if scipy.sparse.issparse(lap):
-        n = lap.shape[0]
-        sym_defect = abs(lap - lap.T).max()
-    else:
+    if not scipy.sparse.issparse(lap):
         lap = np.asarray(lap, dtype=np.float64)
-        n = lap.shape[0]
-        sym_defect = float(np.abs(lap - lap.T).max()) if n else 0.0
-    if lap.shape != (n, n):
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"Laplacian must be square, got {lap.shape}")
+    n = lap.shape[0]
+    sym_defect = abs(lap - lap.T).max() if n else 0.0
     if sym_defect > 0:
         raise ValueError(f"Laplacian not symmetric (defect {sym_defect})")
     if n < 2:

@@ -4,9 +4,7 @@ Every option without a default of its own can also be supplied through a
 key=value config file (--config); explicit flags win over file values, and
 a key the subcommand does not read is a usage error.  All randomness flows
 from --rng-seed, so any command rerun with the same arguments produces
-byte-identical output files.  The worker count for sweeps is taken from
-the TVCLUST_THREADS environment variable (a positive integer, default 1);
-it never affects output content, only speed.
+byte-identical output files.
 
 Exit status: 0 on success, 2 on usage errors, 1 on named runtime errors
 (printed as `error: <ErrorClass>: <message>`).
@@ -16,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,8 +36,6 @@ from tvclust.sweep import (
     write_gnuplot_script,
     write_sweep_csv,
 )
-
-THREADS_ENV_VAR = "TVCLUST_THREADS"
 
 
 class CliUsageError(ValueError):
@@ -96,8 +91,8 @@ def _flag(key: str) -> str:
 
 
 def _convert(name: str, value, convert):
-    """Convert a flag, config-file or environment string named `name`; a
-    value that `convert` rejects is a usage error."""
+    """Convert a flag or config-file string named `name`; a value that
+    `convert` rejects is a usage error."""
     if not isinstance(value, str):
         return value
     try:
@@ -116,13 +111,6 @@ def _require(args, key, convert):
     if value is None:
         raise CliUsageError(f"missing required option {_flag(key)}")
     return _convert(_flag(key), value, convert)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
 
 
 def _resolve_sizes(args) -> tuple[int, ...]:
@@ -261,9 +249,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    threads = _convert(
-        THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR, "1"), _positive_int
-    )
     config = SweepConfig(
         cluster_sizes=_resolve_sizes(args),
         p_out=_require(args, "p_out", float),
@@ -275,7 +260,7 @@ def cmd_sweep(args) -> int:
     )
     out = _require(args, "out", str)
     started = time.perf_counter()
-    rows = run_sweep(config, num_threads=threads, measure_time=args.timing)
+    rows = run_sweep(config, measure_time=args.timing)
     elapsed = time.perf_counter() - started
     write_sweep_csv(out, rows)
     agg = aggregate_rows(config, rows)
@@ -287,8 +272,7 @@ def cmd_sweep(args) -> int:
     if _merged(args, "gnuplot_out"):
         write_gnuplot_script(_merged(args, "gnuplot_out"), agg_out)
     print(
-        f"sweep: {len(rows)} runs in {elapsed:.1f}s "
-        f"({threads} worker(s)) -> {out}, {agg_out}",
+        f"sweep: {len(rows)} runs in {elapsed:.1f}s -> {out}, {agg_out}",
         file=sys.stderr,
     )
     return 0

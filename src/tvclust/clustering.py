@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.graphs import Graph, Partition
+from tvclust.graphs import Graph, Partition, checked_int, checked_int_array
 from tvclust.sbm import SeedSet
 from tvclust.solver import SolveDiagnostics, SolverConfig, solve_batch
 
 
 class SeedLabelError(ValueError):
-    """Seed labels that do not cover every cluster index 1..K."""
+    """Seed labels that are not integers or do not cover every cluster index
+    1..K, or labeled node ids outside the graph."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,15 @@ def indicator_targets(seed_labels: dict[int, int], k: int) -> dict[int, float]:
 def _check_labels(seed_labels: dict[int, int]) -> int:
     if not seed_labels:
         raise SeedLabelError("no labeled nodes given")
-    k_max = max(seed_labels.values())
-    if min(seed_labels.values()) < 1:
+    present = {checked_int(c, SeedLabelError, "cluster label")
+               for c in seed_labels.values()}
+    k_max = max(present)
+    if min(present) < 1:
         raise SeedLabelError("cluster labels must be >= 1")
-    present = set(seed_labels.values())
-    missing = [k for k in range(1, k_max + 1) if k not in present]
-    if missing:
-        raise SeedLabelError(f"cluster(s) {missing} have no labeled node")
+    if len(present) < k_max:
+        # the first gap is at most len(present) + 1, however large k_max is
+        missing = next(k for k in range(1, k_max + 1) if k not in present)
+        raise SeedLabelError(f"cluster {missing} of 1..{k_max} has no labeled node")
     return k_max
 
 
@@ -81,13 +84,16 @@ def cluster(
 def accuracy(result: ClusteringResult, truth: Partition, seeds) -> float:
     """Fraction of unlabeled nodes assigned their true cluster.
 
-    `seeds` is a SeedSet or any iterable of labeled node ids.  When every
-    node is labeled there is nothing to score; that degenerate case
-    returns 1.0.
+    `seeds` is a SeedSet or any iterable of labeled node ids in
+    0..N-1.  When every node is labeled there is nothing to score; that
+    degenerate case returns 1.0.
     """
-    seed_nodes = seeds.all_nodes if isinstance(seeds, SeedSet) else seeds
+    seed_nodes = seeds.all_nodes if isinstance(seeds, SeedSet) else list(seeds)
+    ids = checked_int_array(seed_nodes, SeedLabelError, "labeled node ids")
+    if ((ids < 0) | (ids >= truth.num_nodes)).any():
+        raise SeedLabelError(f"labeled node id outside 0..{truth.num_nodes - 1}")
     mask = np.ones(truth.num_nodes, dtype=bool)
-    mask[np.asarray(sorted(seed_nodes), dtype=np.int64)] = False
+    mask[ids] = False
     if not mask.any():
         return 1.0
     correct = result.assignment[mask] == truth.assignment[mask]

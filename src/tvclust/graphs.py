@@ -53,6 +53,30 @@ class DenseCapExceededError(ValueError):
     """Dense matrix requested for a graph above DENSE_CAP nodes."""
 
 
+def checked_int(value, error: type[ValueError], name: str) -> int:
+    """`value` as an int; anything but an integer-valued number (2.0 passes,
+    2.5 does not) raises `error` naming `name`."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def checked_int_array(values, error: type[ValueError], name: str) -> np.ndarray:
+    """`values` as an int64 array; a value that is not integer-valued raises
+    `error` naming `name`.  Integer dtypes pass without a check."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        if a.dtype.kind != "f":
+            raise error(f"{name} must be integers, got dtype {a.dtype}")
+        bad = ~np.isfinite(a) | (a % 1 != 0)
+        if bad.any():
+            raise error(f"{name} must be integers, got {a[bad][0]}")
+    return a.astype(np.int64, copy=False)
+
+
 class Graph:
     """Immutable undirected graph with oriented edges (head < tail).
 
@@ -98,11 +122,12 @@ def build_graph(num_nodes: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     Out-of-range ids, self-loops and duplicate edges raise distinct error
     types; duplicates are treated as corrupt input rather than merged.
     """
+    num_nodes = checked_int(num_nodes, GraphInputError, "num_nodes")
     if not 1 <= num_nodes <= 2**31:
         raise GraphInputError(f"num_nodes must be in 1..2**31, got {num_nodes}")
     if not isinstance(edge_list, np.ndarray):
         edge_list = list(edge_list)
-    pairs = np.asarray(edge_list, dtype=np.int64)
+    pairs = checked_int_array(edge_list, GraphInputError, "node ids")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -168,10 +193,10 @@ class Partition:
     num_clusters: int
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
+        a = checked_int_array(self.assignment, PartitionError, "cluster indices")
         if a.ndim != 1 or a.size == 0:
             raise PartitionError("assignment must be a nonempty 1-d array")
-        k = int(self.num_clusters)
+        k = checked_int(self.num_clusters, PartitionError, "num_clusters")
         if k < 1:
             raise PartitionError("need at least one cluster")
         if a.min() < 1 or a.max() > k:

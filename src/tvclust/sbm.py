@@ -26,6 +26,7 @@ from tvclust.graphs import (
     Graph,
     Partition,
     build_graph,
+    checked_int,
     contiguous_partition,
     read_edge_list,
     read_partition,
@@ -54,6 +55,10 @@ class SeedCountError(ValueError):
     """Requested more labeled nodes per cluster than the smallest cluster."""
 
 
+class RngSeedError(ValueError):
+    """A master seed that is not a non-negative integer."""
+
+
 class InstanceFormatError(ValueError):
     """An instance directory is missing files or has a malformed header."""
 
@@ -67,7 +72,9 @@ class SbmParams:
     p_out: float
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.cluster_sizes)
+        sizes = tuple(
+            checked_int(n, SbmParamsError, "cluster size") for n in self.cluster_sizes
+        )
         if len(sizes) < 1 or any(n < 1 for n in sizes):
             raise SbmParamsError(f"bad cluster sizes {self.cluster_sizes}")
         for name in ("p_in", "p_out"):
@@ -171,7 +178,7 @@ def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
     Each cluster uses its own SeedSequence-spawned stream, so the draw for
     cluster k does not depend on how many clusters precede it.
     """
-    s = int(s)
+    s = checked_int(s, SeedCountError, "s")
     smallest = int(truth.cluster_sizes.min())
     if not 1 <= s <= smallest:
         raise SeedCountError(f"s={s} must be in 1..{smallest} (smallest cluster)")
@@ -190,10 +197,13 @@ def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
 
 def generate_instance(params: SbmParams, s: int, rng_seed: int) -> SbmInstance:
     """Graph + ground truth + seed set from one recorded 64-bit seed."""
+    rng_seed = checked_int(rng_seed, RngSeedError, "rng_seed")
+    if rng_seed < 0:
+        raise RngSeedError(f"rng_seed={rng_seed} must be >= 0")
     graph_stream, seed_stream = np.random.SeedSequence(rng_seed).spawn(2)
     graph, truth = generate(params, graph_stream)
     seeds = select_seeds(truth, s, seed_stream)
-    return SbmInstance(graph, truth, seeds, params, int(rng_seed))
+    return SbmInstance(graph, truth, seeds, params, rng_seed)
 
 
 def permute_instance(instance: SbmInstance, rng_seed: int) -> SbmInstance:

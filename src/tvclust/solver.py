@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.graphs import Graph
+from tvclust.graphs import Graph, checked_int_array
 
 _CHECK_EVERY = 8  # sweeps between two certificate checks of a row
 # rows x edges swept together: past it batching saves no dispatch cost, and
@@ -85,12 +85,10 @@ class SolveDiagnostics:
 def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarray]:
     """The (S,) ascending labeled node ids as int64 and the (K, S) values,
     one row per problem, as float64."""
-    ids, values = np.asarray(seed_ids), np.asarray(seed_values, dtype=np.float64)
+    ids = checked_int_array(seed_ids, SeedValuesError, "labeled node ids")
+    values = np.asarray(seed_values, dtype=np.float64)
     if ids.size == 0:
         raise SeedValuesError("labeled node set must be nonempty")
-    if ids.dtype.kind not in "iuf" or not np.isfinite(ids).all() or (ids % 1).any():
-        raise SeedValuesError(f"labeled node ids must be integers, got {ids}")
-    ids = ids.astype(np.int64)
     if ids.ndim != 1 or (np.diff(ids) <= 0).any():
         raise SeedValuesError("labeled node ids must be distinct and ascending")
     if ids[0] < 0 or ids[-1] >= g.num_nodes:

@@ -2,10 +2,9 @@
 
 Every run (one generated instance, one clustering, one accuracy figure)
 has its own RNG stream derived from the master seed through the spawn key
-(grid index, s index, rep index), so adding grid points, reordering the
-schedule or changing the worker count never changes any existing row.
-Rows are computed in parallel but always emitted in (grid, s, rep) order
-by a single writer.
+(grid index, s index, rep index), so adding grid points or reordering the
+schedule never changes any existing row.  Rows are computed one at a time,
+in (grid, s, rep) order.
 
 Wall-clock timings are only recorded when explicitly requested, because
 they would break byte-reproducibility of the output; without the request
@@ -16,18 +15,18 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from tvclust.clustering import accuracy, cluster
+from tvclust.graphs import checked_int
 from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import SolverConfig
 
 
 class SweepConfigError(ValueError):
-    """Invalid sweep grid or repetition count."""
+    """A SweepConfig field with an invalid value."""
 
 
 @dataclass(frozen=True)
@@ -41,21 +40,35 @@ class SweepConfig:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
+        """Check every field, naming it; the integer fields are stored as ints."""
+        def ints(name):
+            values = getattr(self, name)
+            if len(values) == 0:
+                raise SweepConfigError(f"{name} is empty")
+            return tuple(checked_int(v, SweepConfigError, name) for v in values)
+
+        sizes, s_values = ints("cluster_sizes"), ints("s_values")
+        reps = checked_int(self.reps, SweepConfigError, "reps")
+        rng_seed = checked_int(self.rng_seed, SweepConfigError, "rng_seed")
         if not self.p_in_grid:
-            raise SweepConfigError("p_in grid is empty")
-        if not self.s_values:
-            raise SweepConfigError("no seed counts given")
-        if self.reps < 1:
-            raise SweepConfigError(f"reps={self.reps} must be >= 1")
+            raise SweepConfigError("p_in_grid is empty")
+        if reps < 1:
+            raise SweepConfigError(f"reps={reps} must be >= 1")
+        if rng_seed < 0:
+            raise SweepConfigError(f"rng_seed={rng_seed} must be >= 0")
         for p in (*self.p_in_grid, self.p_out):
             if not 0.0 <= p <= 1.0:
                 raise SweepConfigError(f"probability {p} outside [0, 1]")
-        smallest = min(self.cluster_sizes)
-        for s in self.s_values:
-            if not 1 <= s <= smallest:
+        if min(sizes) < 1:
+            raise SweepConfigError(f"cluster_sizes {sizes} must all be >= 1")
+        for s in s_values:
+            if not 1 <= s <= min(sizes):
                 raise SweepConfigError(
-                    f"s={s} exceeds the smallest cluster size {smallest}"
+                    f"s_values entry {s} outside 1..{min(sizes)} (smallest cluster)"
                 )
+        for name, value in (("cluster_sizes", sizes), ("s_values", s_values),
+                            ("reps", reps), ("rng_seed", rng_seed)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -122,18 +135,16 @@ def run_one(
 def run_sweep(
     config: SweepConfig, num_threads: int = 1, measure_time: bool = False
 ) -> list[SweepRow]:
-    """All reps x grid x s runs, returned in (grid, s, rep) order."""
-    jobs = [
-        (gi, si, rep)
+    """All reps x grid x s runs, computed and returned in (grid, s, rep) order."""
+    # num_threads stays only for perfbench's positional run_sweep(config, 1, True)
+    if num_threads != 1:
+        raise SweepConfigError(f"num_threads={num_threads!r}: sweeps run on one thread")
+    return [
+        run_one(config, gi, si, rep, measure_time)
         for gi in range(len(config.p_in_grid))
         for si in range(len(config.s_values))
         for rep in range(config.reps)
     ]
-    if num_threads <= 1:
-        return [run_one(config, *job, measure_time) for job in jobs]
-    with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        futures = [pool.submit(run_one, config, *job, measure_time) for job in jobs]
-        return [f.result() for f in futures]
 
 
 def aggregate_rows(config: SweepConfig, rows: list[SweepRow]) -> list[AggregateRow]:

@@ -255,6 +255,12 @@ class TestAlgebraicConnectivity:
         with pytest.raises(ValueError):
             algebraic_connectivity(np.array([[1.0, 0.5], [-1.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected_by_shape(self, shape):
+        # (2, 3) used to fail in the symmetry test with numpy's broadcast error
+        with pytest.raises(ValueError, match="Laplacian must be square"):
+            algebraic_connectivity(np.zeros(shape))
+
     def test_iterative_path_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(6)
         g = random_graph(rng, 40, 0.2)

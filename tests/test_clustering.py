@@ -50,12 +50,28 @@ class TestCluster:
         assert_array_equal(result.assignment, np.ones(8))
 
     def test_missing_cluster_rejected(self, bridge_graph):
-        with pytest.raises(SeedLabelError):
+        with pytest.raises(SeedLabelError, match="cluster 2 of 1..3 has no labeled"):
             cluster(bridge_graph, {0: 1, 7: 3})
+
+    def test_huge_label_rejected_without_scanning_to_it(self, bridge_graph):
+        # the check used to list every index up to the largest label: 1.7 s
+        # and a 10**7-entry message for a label of 10**7
+        with pytest.raises(SeedLabelError, match="cluster 2 of 1..10{12}"):
+            cluster(bridge_graph, {0: 1, 7: 10**12})
 
     def test_empty_labels_rejected(self, bridge_graph):
         with pytest.raises(SeedLabelError):
             cluster(bridge_graph, {})
+
+    def test_integer_valued_float_labels_accepted(self):
+        # float labels used to raise a bare TypeError from range()
+        g = build_graph(6, TRIANGLES)
+        floats = cluster(g, {0: 1.0, 3: 2.0})
+        assert_array_equal(floats.assignment, cluster(g, {0: 1, 3: 2}).assignment)
+
+    def test_non_integer_label_rejected(self, bridge_graph):
+        with pytest.raises(SeedLabelError, match="cluster label must be an integer"):
+            cluster(bridge_graph, {0: 1, 3: 2.5})
 
     def test_seed_consistency(self):
         # labeled nodes always end up in their known cluster
@@ -128,6 +144,15 @@ class TestAccuracy:
         res = self._result([1, 2, 2, 2])  # node 1 wrong, others right
         assert accuracy(res, truth, seeds=[1]) == 1.0
         assert accuracy(res, truth, seeds=[0]) == 2 / 3
+
+    @pytest.mark.parametrize("seed", [-1, 9, 1.5])
+    def test_seed_id_outside_graph_rejected(self, seed):
+        # -1 used to mark node 3 as a seed through numpy's negative index,
+        # and 9 raised a bare IndexError
+        truth = contiguous_partition([2, 2])
+        res = self._result([1, 1, 2, 2])
+        with pytest.raises(SeedLabelError, match="labeled node id"):
+            accuracy(res, truth, seeds=[seed])
 
     def test_seedset_object(self):
         inst = generate_instance(SbmParams((5, 5), 1.0, 0.0), s=1, rng_seed=0)

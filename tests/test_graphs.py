@@ -67,6 +67,20 @@ class TestBuildGraph:
         with pytest.raises(SelfLoopError):
             build_graph(3, [(1, 1)])
 
+    def test_non_integer_node_id_rejected(self):
+        # 1.9 used to be truncated to node 1 without a word
+        with pytest.raises(GraphInputError, match="node ids must be integers, got 1.9"):
+            build_graph(3, [(0, 1.9)])
+
+    def test_non_integer_node_count_rejected(self):
+        # 4.5 used to build 4 nodes
+        with pytest.raises(GraphInputError, match="num_nodes must be an integer"):
+            build_graph(4.5, [(0, 1)])
+
+    def test_integer_valued_floats_accepted(self):
+        g = build_graph(3.0, np.array([[2.0, 0.0]]))
+        assert g.num_nodes == 3 and g.edges.tolist() == [[0, 2]]
+
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
             build_graph(3, [(0, 1), (1, 0)])
@@ -193,6 +207,20 @@ class TestPartition:
     def test_bad_index_rejected(self):
         with pytest.raises(PartitionError):
             Partition(np.array([0, 1]), 2)
+
+    def test_non_integer_index_rejected(self):
+        # 1.5 used to be stored as cluster 1
+        with pytest.raises(PartitionError, match="cluster indices must be integers"):
+            Partition(np.array([1.5, 2.0]), 2)
+
+    def test_non_integer_cluster_count_rejected(self):
+        # 2.7 used to become 2
+        with pytest.raises(PartitionError, match="num_clusters must be an integer"):
+            Partition(np.array([1, 2]), 2.7)
+
+    def test_integer_valued_floats_accepted(self):
+        p = Partition(np.array([1.0, 2.0]), 2.0)
+        assert p.assignment.dtype == np.int64 and p.num_clusters == 2
 
 
 class TestBoundary:

@@ -7,6 +7,7 @@ from numpy.testing import assert_array_equal
 from tvclust import sbm
 from tvclust.sbm import (
     InstanceFormatError,
+    RngSeedError,
     SbmParams,
     SbmParamsError,
     SeedCountError,
@@ -33,6 +34,12 @@ class TestParams:
     def test_bad_sizes(self):
         with pytest.raises(SbmParamsError):
             SbmParams((5, 0), 0.5, 0.1)
+
+    def test_non_integer_size_rejected(self):
+        # (5.5, 5) used to become (5, 5)
+        with pytest.raises(SbmParamsError, match="cluster size must be an integer"):
+            SbmParams((5.5, 5), 0.5, 0.1)
+        assert SbmParams((5.0, 5), 0.5, 0.1).cluster_sizes == (5, 5)
 
 
 class TestGenerate:
@@ -211,6 +218,15 @@ class TestSelectSeeds:
         with pytest.raises(SeedCountError):
             select_seeds(truth, 4, rng_seed=0)
 
+    def test_non_integer_count_rejected(self):
+        # 1.7 used to draw 1 seed per cluster
+        params = SbmParams((5, 5), 0.5, 0.1)
+        with pytest.raises(SeedCountError, match="s must be an integer, got 1.7"):
+            generate_instance(params, 1.7, 3)
+        assert generate_instance(params, 2.0, 3).seeds == generate_instance(
+            params, 2, 3
+        ).seeds
+
     def test_deterministic(self):
         truth = contiguous_partition([20, 20])
         a = select_seeds(truth, 4, rng_seed=99)
@@ -224,6 +240,12 @@ class TestInstance:
         assert inst.graph.num_nodes == 20
         assert inst.seeds.seeds_per_cluster == 2
         assert inst.rng_seed == 21
+
+    @pytest.mark.parametrize("rng_seed", [-1, 2.5, "7"])
+    def test_bad_rng_seed_named(self, rng_seed):
+        # -1 used to fail inside numpy with a bare ValueError
+        with pytest.raises(RngSeedError, match="rng_seed"):
+            generate_instance(SbmParams((4, 4), 0.5, 0.1), 1, rng_seed)
 
     def test_round_trip(self, tmp_path):
         inst = generate_instance(SbmParams((8, 12), 0.7, 0.08), s=3, rng_seed=77)

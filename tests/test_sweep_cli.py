@@ -1,5 +1,4 @@
 import csv
-import os
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +41,10 @@ class TestSweepEngine:
             (0.3, 0), (0.3, 1), (0.6, 0), (0.6, 1),
         ]
 
-    def test_thread_count_does_not_change_rows(self):
-        serial = run_sweep(small_config(), num_threads=1)
-        threaded = run_sweep(small_config(), num_threads=4)
-        assert serial == threaded
+    def test_num_threads_other_than_one_rejected(self):
+        # sweeps run on one thread; the slot stays for positional callers
+        with pytest.raises(SweepConfigError, match="num_threads=2"):
+            run_sweep(small_config(), 2)
 
     def test_seed_derivation_stable_under_grid_growth(self):
         # adding grid points must not change existing rows' randomness
@@ -93,6 +92,24 @@ class TestSweepEngine:
         with pytest.raises(SweepConfigError):
             small_config(s_values=(9,))  # exceeds smallest cluster
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s_values", (1.5,)), ("reps", 1.5), ("cluster_sizes", ()),
+         ("cluster_sizes", (8.5, 8)), ("rng_seed", -1), ("rng_seed", 0.5)],
+    )
+    def test_bad_field_named(self, field, value):
+        # each used to be accepted (s=1.5 wrote ratio 3.0 for runs that drew
+        # one seed) or to fail later with a bare TypeError or ValueError
+        with pytest.raises(SweepConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_integer_valued_floats_stored_as_ints(self):
+        config = small_config(cluster_sizes=(8.0, 8), s_values=(2.0,), reps=2.0,
+                              rng_seed=42.0)
+        assert config == small_config()
+        ints = (*config.cluster_sizes, *config.s_values, config.reps, config.rng_seed)
+        assert all(type(v) is int for v in ints)
+
     def test_timing_off_by_default(self, tmp_path):
         rows = run_sweep(small_config())
         assert all(r.wall_ms == 0 for r in rows)
@@ -138,6 +155,15 @@ class TestCliGenerate:
                      "--out", str(tmp_path / "x")])
         assert code == 0
         assert read_instance(tmp_path / "x").params.cluster_sizes == (5, 5)
+
+    def test_negative_rng_seed_named(self, tmp_path, capsys):
+        # used to print numpy's bare `ValueError: expected non-negative integer`
+        code = main(["generate", "--sizes", "3,3", "--p-in", "1", "--p-out", "0",
+                     "--num-seeds", "1", "--rng-seed", "-1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "error: RngSeedError: rng_seed=-1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_odd_nodes_rejected(self, tmp_path, capsys):
         code = main(["generate", "--nodes", "9", "--p-in", "0.5", "--p-out", "0.1",
@@ -199,25 +225,6 @@ class TestCliSweep:
         assert code == 0
         assert out.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
         assert agg.read_bytes() == (DATA / "golden_sweep_agg.csv").read_bytes()
-
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("TVCLUST_THREADS", threads)
-            out = tmp_path / f"sweep_{threads}.csv"
-            agg = tmp_path / f"agg_{threads}.csv"
-            assert main(self.ARGV + ["--out", str(out), "--aggregate-out", str(agg)]) == 0
-            outputs.append((out.read_bytes(), agg.read_bytes()))
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("threads", ["x", "2.5", "0", "-1"])
-    def test_bad_thread_count_named(self, tmp_path, monkeypatch, capsys, threads):
-        monkeypatch.setenv("TVCLUST_THREADS", threads)
-        out = tmp_path / "sweep.csv"
-        assert main(self.ARGV + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "CliUsageError" in err and "TVCLUST_THREADS" in err
-        assert not out.exists()
 
     def test_default_aggregate_path(self, tmp_path):
         out = tmp_path / "sweep.csv"
