@@ -14,7 +14,7 @@ import numpy as np
 from tvclust.analysis import mincut_tv_oracle, subset_cut_check, well_connected
 from tvclust.clustering import accuracy, cluster
 from tvclust.graphs import build_graph, contiguous_partition, total_variation
-from tvclust.solver import SolverConfig, round_to_indicator, solve
+from tvclust.solver import SolverConfig, solve
 
 edges = [
     (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),   # block one
@@ -38,7 +38,7 @@ x, diag = solve(g, {0: 1.0, 7: 0.0}, SolverConfig(max_iters=3000))
 np.set_printoptions(precision=4, suppress=True)
 print("certified iterate:", x)
 print("its TV:", round(diag.tv_final, 6), "| bound:", round(diag.bound, 6),
-      "| rounded:", round_to_indicator(x))
+      "| rounded:", (x > 0.5).astype(float))
 
 # Full one-vs-rest clustering from the two labels.
 result = cluster(g, {0: 1, 7: 2}, SolverConfig(max_iters=3000))

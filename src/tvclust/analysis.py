@@ -23,8 +23,9 @@ verifying solver output exactly:
   gap, and the model-parameter recovery condition
   S * p_in / p_out >= beta * n_k * (N - n_k) with its failure bound.
 
-Every check runs in polynomial time and has no cluster-size limit; copies
-are batched into max-flows of bounded size (FLOW_ARC_CHUNK arcs).
+Every check runs in polynomial time and has no cluster-size limit; the
+copies of every cluster share max-flows of bounded size (FLOW_ARC_CHUNK
+arcs).
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def spectral_cut_bound_check(
 # Subset-cut conditions
 # ---------------------------------------------------------------------------
 
-# Arcs in one max-flow over copies of a cluster network; the copies beyond
-# it go to the next flow, so memory stays bounded for any cluster size.
+# Arcs in one max-flow over copies of cluster networks; the copies beyond it
+# go to the next flow, so memory stays bounded for any cluster size.
 FLOW_ARC_CHUNK = 1 << 16
 
 
@@ -252,8 +253,9 @@ class _ClusterNetwork:
     `sub` is the induced subgraph of the cluster's members (ascending
     original ids) and `boundary` the positions in it of the boundary nodes
     B.  A copy of the network is a disjoint copy of `sub` with unit arcs
-    both ways on every edge, entry arcs from a shared source and one arc of
-    capacity demand = 2|B| from its exit node to a shared sink.
+    both ways on every edge (`tails` -> `heads`), entry arcs from a source
+    and one arc of capacity demand = 2|B| from its exit node to a sink.
+    Copies of any clusters share one source and sink in :func:`_run_flow`.
     """
 
     def __init__(self, g: Graph, p: Partition, k: int):
@@ -262,6 +264,8 @@ class _ClusterNetwork:
         self.sub, self.members = induced_subgraph(g, p.nodes_in(k))
         self.boundary = np.searchsorted(self.members, boundary)
         self.demand = 2 * boundary.size
+        self.tails = np.concatenate([self.sub.heads, self.sub.tails])
+        self.heads = np.concatenate([self.sub.tails, self.sub.heads])
 
     def position(self, labeled_node) -> int:
         """Position of a labeled node in `sub`; ValueError for a non-member."""
@@ -273,63 +277,114 @@ class _ClusterNetwork:
             f"labeled node {labeled_node} is not in cluster {self.cluster}"
         )
 
-    def exit_copies(self, exits: np.ndarray):
+    def exit_copies(self, exits: np.ndarray, keep: int = 0) -> _Copies:
         """Per-subset copies: capacity 2 into each boundary node, exit v for
         each v in `exits`; copy v carries 2|B| iff v is well connected."""
         entries = np.broadcast_to(self.boundary, (exits.size, self.boundary.size))
-        return self._copies(entries, 2, exits)
+        return _Copies(self, entries, 2, exits, keep)
 
-    def menger_copies(self, labeled: int):
+    def menger_copies(self, labeled: int) -> _Copies:
         """Uniform copies: 2|B| into u, exit the labeled node, for every other
         u; copy u carries 2|B| iff lambda(u, labeled) >= 2|B|."""
         others = np.delete(np.arange(self.sub.num_nodes), labeled)
-        return self._copies(others[:, None], self.demand, np.full(others.size, labeled))
+        return _Copies(self, others[:, None], self.demand, np.full(others.size, labeled))
 
-    def _copies(self, entries: np.ndarray, entry_cap: int, exits: np.ndarray):
-        """Yield, per max-flow, which of its copies carry the demand.
 
-        Copy c has an arc of capacity `entry_cap` into each node of
-        entries[c] (together the demand) and exits at exits[c].  A flow
-        holds at most FLOW_ARC_CHUNK arcs (at least one copy), and a copy's
-        value is its share of the source's out-flow.
-        """
-        if not self.demand:
-            # no boundary: every copy carries its empty demand
-            yield np.ones(exits.size, dtype=bool)
-            return
-        sub, width = self.sub, entries.shape[1]
-        n = sub.num_nodes
-        per_chunk = max(1, FLOW_ARC_CHUNK // (2 * sub.num_edges + width + 1))
-        tails = np.concatenate([sub.heads, sub.tails])
-        heads = np.concatenate([sub.tails, sub.heads])
-        for lo in range(0, exits.size, per_chunk):
-            count = min(per_chunk, exits.size - lo)
-            offset = np.arange(count, dtype=np.int64) * n
-            source, sink = count * n, count * n + 1
-            chunk_tails = np.concatenate([
-                (offset[:, None] + tails).ravel(),
-                np.full(count * width, source),
-                exits[lo:lo + count] + offset,
-            ])
-            chunk_heads = np.concatenate([
-                (offset[:, None] + heads).ravel(),
-                (offset[:, None] + entries[lo:lo + count]).ravel(),
-                np.full(count, sink),
-            ])
-            caps = np.concatenate([
-                np.ones(count * tails.size, dtype=np.int64),
-                np.full(count * width, entry_cap),
-                np.full(count, self.demand),
-            ])
-            _, flow = _max_flow(
-                count * n + 2, chunk_tails, chunk_heads, caps, source, sink
-            )
-            out = slice(flow.flow.indptr[source], flow.flow.indptr[source + 1])
-            value = np.bincount(
-                flow.flow.indices[out] // n, weights=flow.flow.data[out],
-                minlength=count,
-            )
-            yield value == self.demand
+class _Copies:
+    """Copies of one cluster network that decide one condition together.
+
+    Copy c has an arc of capacity `entry_cap` into each node of entries[c]
+    (together the demand) and exits at exits[c]; the condition `holds` iff
+    every copy carries the demand.  The first `keep` copies always run and
+    `ok` gives their verdicts; once a copy is short the others are dropped.
+    """
+
+    def __init__(self, net, entries, entry_cap, exits, keep=0):
+        self.net, self.entries, self.entry_cap = net, entries, entry_cap
+        self.exits, self.keep = exits, keep
+        self.arcs = net.tails.size + entries.shape[1] + 1  # per copy
+        self.ok = np.ones(exits.size, dtype=bool)
+        self.holds = True
+
+
+def _decide(conditions) -> None:
+    """Run the copies of every condition in shared max-flows.
+
+    Kept copies of every condition are issued first, then the others, each
+    condition's in order; a flow takes copies until the next one would
+    pass FLOW_ARC_CHUNK arcs (it always takes one), so small clusters share
+    one flow.  A condition's copies not yet issued are dropped once one of
+    its copies is short.  A network with no boundary needs no flow: every
+    copy carries its empty demand.  Every flow is written into one set of
+    arc arrays, allocated once per call, so a check of many flows does not
+    fault in fresh pages for each of them.
+    """
+    pending = [(c, 0, c.keep) for c in conditions]
+    pending += [(c, c.keep, c.exits.size) for c in conditions]
+    total = sum(c.arcs * c.exits.size for c in conditions)
+    widest = max((c.arcs for c in conditions), default=0)
+    buffer = np.empty((3, max(widest, min(total, FLOW_ARC_CHUNK))), dtype=np.int64)
+    batch, arcs = [], 0
+    for copies, lo, hi in pending:
+        if not copies.net.demand:
+            continue
+        while lo < hi and (lo < copies.keep or copies.holds):
+            take = min(hi - lo, max(0, FLOW_ARC_CHUNK - arcs) // copies.arcs)
+            if not take:
+                if batch:
+                    _run_flow(batch, buffer)
+                    batch, arcs = [], 0
+                    continue
+                take = 1
+            batch.append((copies, lo, lo + take))
+            arcs += take * copies.arcs
+            lo += take
+    if batch:
+        _run_flow(batch, buffer)
+
+
+def _run_flow(batch, buffer) -> None:
+    """One max-flow over the copies lo..hi of each (copies, lo, hi) in batch.
+
+    The arcs' tails, heads and capacities are written into the rows of
+    `buffer`: each copy's inner arcs, then entry arcs, then exit arc.
+    Copies differ in size and demand, so a copy's value is the source's
+    out-flow into the nodes from its start offset on, and it is compared
+    with its own network's demand.
+    """
+    size = sum((hi - lo) * c.net.sub.num_nodes for c, lo, hi in batch)
+    source, sink = size, size + 1
+    total = sum((hi - lo) * c.arcs for c, lo, hi in batch)
+    tails, heads, caps = buffer[:, :total]
+    starts, at, base = [], 0, 0
+    for copies, lo, hi in batch:
+        net, count = copies.net, hi - lo
+        start = base + np.arange(count, dtype=np.int64) * net.sub.num_nodes
+        entries = copies.entries[lo:hi]
+        seg = slice(at, at + count * net.tails.size)
+        np.add(start[:, None], net.tails, out=tails[seg].reshape(count, -1))
+        np.add(start[:, None], net.heads, out=heads[seg].reshape(count, -1))
+        caps[seg] = 1
+        seg = slice(seg.stop, seg.stop + entries.size)
+        tails[seg] = source
+        np.add(start[:, None], entries, out=heads[seg].reshape(entries.shape))
+        caps[seg] = copies.entry_cap
+        seg = slice(seg.stop, seg.stop + count)
+        np.add(start, copies.exits[lo:hi], out=tails[seg])
+        heads[seg], caps[seg] = sink, net.demand
+        starts.append(start)
+        at, base = seg.stop, base + count * net.sub.num_nodes
+    _, flow = _max_flow(size + 2, tails, heads, caps, source, sink)
+    starts = np.concatenate(starts)
+    out = slice(flow.flow.indptr[source], flow.flow.indptr[source + 1])
+    copy = np.searchsorted(starts, flow.flow.indices[out], side="right") - 1
+    value = np.bincount(copy, weights=flow.flow.data[out], minlength=starts.size)
+    at = 0
+    for copies, lo, hi in batch:
+        ok = value[at:at + hi - lo] == copies.net.demand
+        copies.ok[lo:hi] = ok
+        copies.holds &= bool(ok.all())
+        at += hi - lo
 
 
 def subset_cut_check(
@@ -351,17 +406,16 @@ def subset_cut_check(
     connectivity, whatever the labeled node.  It is decided over the n - 1
     copies that send 2|B| from u to the labeled node.
 
-    Copies are batched into max-flows of at most FLOW_ARC_CHUNK arcs and
-    the first flow with a short copy decides; no cluster size is too large
-    to decide.
+    Both conditions' copies share max-flows of at most FLOW_ARC_CHUNK arcs
+    (one flow for a small cluster), and a condition stops at its first
+    short copy; no cluster size is too large to decide.
     """
     net = _ClusterNetwork(g, p, k)
     labeled = net.position(labeled_node)
-    exits = np.arange(net.sub.num_nodes)
-    return SubsetCutResult(
-        all(chunk.all() for chunk in net.exit_copies(exits)),
-        all(chunk.all() for chunk in net.menger_copies(labeled)),
-    )
+    per_subset = net.exit_copies(np.arange(net.sub.num_nodes))
+    uniform = net.menger_copies(labeled)
+    _decide([per_subset, uniform])
+    return SubsetCutResult(per_subset.holds, uniform.holds)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +441,9 @@ def well_connected(g: Graph, p: Partition, k: int, labeled_node: int) -> bool:
     to the sink.
     """
     net = _ClusterNetwork(g, p, k)
-    exits = np.array([net.position(labeled_node)])
-    return bool(next(net.exit_copies(exits))[0])
+    copy = net.exit_copies(np.array([net.position(labeled_node)]))
+    _decide([copy])
+    return copy.holds
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +471,7 @@ def spectral_concentration_bound(n_k: int, p_in: float) -> float:
     return (n_k - 1) * 0.9 ** (p_in * n_k / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterCondition:
     cluster: int
     condition_lhs: float  # S * p_in / p_out (inf when p_out == 0)
@@ -476,7 +531,7 @@ def recovery_condition_report(
 # Whole-instance report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterChecks:
     cluster: int
     size: int
@@ -493,7 +548,7 @@ class ClusterChecks:
     condition: ClusterCondition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisReport:
     clusters: tuple[ClusterChecks, ...]
     failure_bound_raw: float
@@ -507,37 +562,43 @@ def analyze_instance(
 ) -> AnalysisReport:
     """Run every desk-scale certificate on one instance.
 
-    Each cluster's flow network is built once.  Its copies with the seeds
-    as exits run first and give every per-seed well-connectedness verdict;
-    the cluster-level flag is True when at least one seed is certified (a
-    single certified seed per cluster is what the exact-recovery guarantee
-    needs).  The per-subset condition holds iff every node of the cluster
-    is well connected, so a seed that falls short decides it with no
-    further flow; otherwise the remaining nodes' copies run, up to the
-    first short flow.  The uniform condition is the cluster's edge
-    connectivity against 2|B|, decided once and the same for every seed.
+    Each cluster's flow network is built once and gives two conditions.
+    The per-subset one holds iff every node of the cluster is well
+    connected; its copies with the seeds as exits always run and give every
+    per-seed well-connectedness verdict, and the cluster-level flag is True
+    when at least one seed is certified (a single certified seed per
+    cluster is what the exact-recovery guarantee needs).  The uniform
+    condition is the cluster's edge connectivity against 2|B|, decided once
+    and the same for every seed.  Every cluster's copies share max-flows,
+    seed copies first (see :func:`_decide`): a small instance is one flow,
+    and a condition with a short copy drops its copies not yet issued, so a
+    failing seed decides the per-subset condition with no further flow.
     The spectral check reuses the network's induced subgraph.
     """
     g, truth = instance.graph, instance.truth
     condition = recovery_condition_report(
         instance.params, instance.seeds.seeds_per_cluster, alpha, beta
     )
+    clusters = range(1, truth.num_clusters + 1)
+    nets = [_ClusterNetwork(g, truth, k) for k in clusters]
+    pairs = []
+    for k, net in zip(clusters, nets):
+        seats = np.array([net.position(i) for i in instance.seeds.per_cluster[k - 1]])
+        others = np.ones(net.sub.num_nodes, dtype=bool)
+        others[seats] = False
+        pairs.append((
+            net.exit_copies(
+                np.concatenate([seats, np.flatnonzero(others)]), keep=seats.size
+            ),
+            net.menger_copies(seats[0]),
+        ))
+    _decide([copies for pair in pairs for copies in pair])
     rows = []
-    for k in range(1, truth.num_clusters + 1):
-        net = _ClusterNetwork(g, truth, k)
+    for k, net, (per_subset, uniform) in zip(clusters, nets, pairs):
+        seeds_k = instance.seeds.per_cluster[k - 1]
+        seed_flags = per_subset.ok[:len(seeds_k)]
         be = boundary_edge_count(g, truth, k)
         bound = spectral_cut_bound_check(net.sub, be, g.num_nodes)
-        seeds_k = instance.seeds.per_cluster[k - 1]
-        seats = np.array([net.position(i) for i in seeds_k])
-        seed_flags = np.concatenate(list(net.exit_copies(seats)))
-        others = np.setdiff1d(np.arange(net.sub.num_nodes), seats)
-        per_subset = bool(seed_flags.all()) and all(
-            chunk.all() for chunk in net.exit_copies(others)
-        )
-        uniform = all(chunk.all() for chunk in net.menger_copies(seats[0]))
-        wc_by_seed = tuple(
-            (i, bool(flag)) for i, flag in zip(seeds_k, seed_flags)
-        )
         rows.append(
             ClusterChecks(
                 cluster=k,
@@ -548,10 +609,12 @@ def analyze_instance(
                 spectral_cut_bound_lhs=bound.lhs,
                 spectral_cut_bound_rhs=bound.rhs,
                 spectral_cut_bound_holds=bound.holds,
-                subset_cut_holds=per_subset,
+                subset_cut_holds=per_subset.holds,
                 wellconnected_holds=bool(seed_flags.any()),
-                uniform_cut_by_seed=tuple((i, uniform) for i in seeds_k),
-                wellconnected_by_seed=wc_by_seed,
+                uniform_cut_by_seed=tuple((i, uniform.holds) for i in seeds_k),
+                wellconnected_by_seed=tuple(
+                    (i, bool(flag)) for i, flag in zip(seeds_k, seed_flags)
+                ),
                 condition=condition.clusters[k - 1],
             )
         )

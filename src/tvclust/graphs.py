@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Dense incidence/Laplacian matrices are refused above this node count; total
+# Dense Laplacian matrices are refused above this node count; total
 # variation streams over the edge list and the spectral check goes sparse.
 DENSE_CAP = 2000
 
@@ -155,16 +155,6 @@ def build_graph(num_nodes: int, edge_list: Iterable[Sequence[int]]) -> Graph:
 def _refuse_above_cap(g: Graph) -> None:
     if g.num_nodes > DENSE_CAP:
         raise DenseCapExceededError(f"{g.num_nodes} nodes exceeds dense cap {DENSE_CAP}")
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """E x N signed incidence matrix: +1 at each edge's head, -1 at its tail."""
-    _refuse_above_cap(g)
-    d = np.zeros((g.num_edges, g.num_nodes))
-    rows = np.arange(g.num_edges)
-    d[rows, g.heads] = 1.0
-    d[rows, g.tails] = -1.0
-    return d
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -306,7 +296,12 @@ def _read_int_pairs(path, error: type[ValueError]) -> np.ndarray:
                 raise error(
                     f"{path}:{lineno}: expected two integers, got {line!r}"
                 ) from None
-            pairs.extend((i, j))
+            try:
+                pairs.extend((i, j))
+            except OverflowError:
+                raise error(
+                    f"{path}:{lineno}: integer outside the int64 range in {line!r}"
+                ) from None
     return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
 
 

@@ -195,11 +195,17 @@ def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
     return SeedSet(tuple(groups))
 
 
-def generate_instance(params: SbmParams, s: int, rng_seed: int) -> SbmInstance:
-    """Graph + ground truth + seed set from one recorded 64-bit seed."""
+def _checked_rng_seed(rng_seed) -> int:
+    """`rng_seed` as an int; RngSeedError unless a non-negative integer."""
     rng_seed = checked_int(rng_seed, RngSeedError, "rng_seed")
     if rng_seed < 0:
         raise RngSeedError(f"rng_seed={rng_seed} must be >= 0")
+    return rng_seed
+
+
+def generate_instance(params: SbmParams, s: int, rng_seed: int) -> SbmInstance:
+    """Graph + ground truth + seed set from one recorded 64-bit seed."""
+    rng_seed = _checked_rng_seed(rng_seed)
     graph_stream, seed_stream = np.random.SeedSequence(rng_seed).spawn(2)
     graph, truth = generate(params, graph_stream)
     seeds = select_seeds(truth, s, seed_stream)
@@ -209,7 +215,7 @@ def generate_instance(params: SbmParams, s: int, rng_seed: int) -> SbmInstance:
 def permute_instance(instance: SbmInstance, rng_seed: int) -> SbmInstance:
     """Relabel nodes by a uniform random permutation (off the default path)."""
     n = instance.graph.num_nodes
-    rng = np.random.Generator(np.random.Philox(rng_seed))
+    rng = np.random.Generator(np.random.Philox(_checked_rng_seed(rng_seed)))
     perm = rng.permutation(n)  # perm[old] = new
     edges = perm[instance.graph.edges]
     graph = build_graph(n, edges)

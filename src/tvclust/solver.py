@@ -250,8 +250,3 @@ def solve(
     ids = sorted(seed_values)
     scores, diagnostics = solve_batch(g, ids, [[seed_values[i] for i in ids]], config)
     return scores[0], diagnostics[0]
-
-
-def round_to_indicator(x: np.ndarray) -> np.ndarray:
-    """Threshold at 1/2; exact halves go to 0 (deterministic tie rule)."""
-    return (np.asarray(x) > 0.5).astype(float)

@@ -31,6 +31,20 @@ def random_graph(rng, n, p):
     return build_graph(n, np.column_stack([iu[mask], ju[mask]]))
 
 
+def incidence_matrix(g):
+    """E x N signed incidence matrix: +1 at each edge's head, -1 at its tail."""
+    d = np.zeros((g.num_edges, g.num_nodes))
+    rows = np.arange(g.num_edges)
+    d[rows, g.heads] = 1.0
+    d[rows, g.tails] = -1.0
+    return d
+
+
+def round_to_indicator(x):
+    """Threshold at 1/2; exact halves go to 0 (deterministic tie rule)."""
+    return (np.asarray(x) > 0.5).astype(float)
+
+
 def is_connected(g):
     adjacency = scipy.sparse.coo_matrix(
         (np.ones(g.num_edges), (g.heads, g.tails)), shape=(g.num_nodes, g.num_nodes)

@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import BRIDGE_EDGES, random_connected_graph, random_graph
+from conftest import (
+    BRIDGE_EDGES,
+    incidence_matrix,
+    random_connected_graph,
+    random_graph,
+    round_to_indicator,
+)
 from tvclust.analysis import (
     algebraic_connectivity,
     mincut_tv_oracle,
@@ -38,12 +44,11 @@ from tvclust.clustering import accuracy, cluster
 from tvclust.graphs import (
     build_graph,
     contiguous_partition,
-    incidence_matrix,
     laplacian,
     total_variation,
 )
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import SolverConfig, round_to_indicator, solve
+from tvclust.solver import SolverConfig, solve
 from tvclust.sweep import SweepConfig, aggregate_rows, run_sweep
 
 # Committed reference constants: all sweep-based criteria run these exact

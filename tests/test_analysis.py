@@ -161,6 +161,27 @@ def random_instance(rng, max_size):
     return generate_instance(params, s, rng_seed=int(rng.integers(2**63)))
 
 
+def many_cluster_instance(rng):
+    """An SBM instance of 3-4 clusters of 4..14 nodes, S = 2: boundary sizes,
+    hence demands, differ across clusters."""
+    sizes = tuple(int(x) for x in rng.integers(4, 15, size=rng.integers(3, 5)))
+    params = SbmParams(sizes, float(rng.choice([0.7, 0.9])), float(rng.choice([0.03, 0.1])))
+    return generate_instance(params, 2, rng_seed=int(rng.integers(2**63)))
+
+
+def counted_flows(monkeypatch) -> list:
+    """Record (nodes, arcs) of every certificate max-flow from now on."""
+    calls = []
+    real = analysis._max_flow
+
+    def counted(num_nodes, tails, *args):
+        calls.append((num_nodes, len(tails)))
+        return real(num_nodes, tails, *args)
+
+    monkeypatch.setattr(analysis, "_max_flow", counted)
+    return calls
+
+
 def complete_graph(n):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -381,25 +402,44 @@ class TestSubsetCut:
         rng = np.random.default_rng(9)
         draws = [two_halves_cluster(rng, bottleneck=t % 2 == 0) for t in range(40)]
         instances = [random_instance(rng, max_size=12) for _ in range(30)]
+        instances += [many_cluster_instance(rng) for _ in range(30)]
 
         def decide_all():
             cuts = [subset_cut_check(g, p, 1, int(p.nodes_in(1)[0])) for g, p in draws]
             return cuts, [analyze_instance(inst) for inst in instances]
 
-        whole = decide_all()
-        assert {r.per_subset_holds for r in whole[0]} == {True, False}
-        assert {r.uniform_holds for r in whole[0]} == {True, False}
+        flows = counted_flows(monkeypatch)
+        # every copy alone in its flow: no copy's value can be misread
+        monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", 1)
+        alone = decide_all()
+        assert {r.per_subset_holds for r in alone[0]} == {True, False}
+        assert {r.uniform_holds for r in alone[0]} == {True, False}
         # clusters whose seeds disagree, so a verdict read off the wrong
         # copy of a shared flow shows
         mixed = [
-            row for report in whole[1] for row in report.clusters
+            row for report in alone[1] for row in report.clusters
             if len({flag for _, flag in row.wellconnected_by_seed}) == 2
         ]
         assert len(mixed) >= 10
-        # a few arcs per flow: every copy, or a handful, is its own chunk
-        for budget in (1, 50, 200):
+        # 3-4 clusters with at least three boundary sizes in one instance
+        demands = [
+            len({row.boundary_node_count for row in report.clusters})
+            for report in alone[1][30:]
+        ]
+        assert sum(d >= 3 for d in demands) >= 10
+        bounded = sum(boundary_nodes(g, p, 1).size > 0 for g, p in draws) + sum(
+            any(row.boundary_node_count for row in report.clusters)
+            for report in alone[1]
+        )
+        assert bounded >= 80
+        # a handful of copies per flow, then every cluster's in one flow
+        for budget in (50, 200, 1 << 16, 1 << 30):
             monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
-            assert decide_all() == whole
+            flows.clear()
+            assert decide_all() == alone
+            if budget >= 1 << 16:
+                # one flow per check with a boundary (no boundary, no flow)
+                assert len(flows) == bounded
 
     def test_labeled_node_must_belong(self, bridge_graph, bridge_partition):
         # 7 is in cluster 2; -1 would wrap to node 7; 8 is past the last
@@ -702,6 +742,63 @@ class TestAnalyzeInstance:
         for kind in ("seed", "subset", "uniform"):
             assert counts[kind, True] >= 20 and counts[kind, False] >= 20
         assert counts["after seeds", True] >= 20 and counts["after seeds", False] >= 5
+
+    def test_small_instance_is_one_flow(self, monkeypatch):
+        # the (16,16) draws the certificate benchmark analyzes: 62 copies of
+        # two clusters, every seed certified, in one max-flow
+        inst = generate_instance(SbmParams((16, 16), 0.9, 0.02), s=2, rng_seed=0)
+        flows = counted_flows(monkeypatch)
+        report = analyze_instance(inst)
+        assert [row.boundary_node_count for row in report.clusters] == [3, 4]
+        assert all(flag for row in report.clusters for _, flag in row.wellconnected_by_seed)
+        assert [nodes for nodes, _ in flows] == [2 * (16 + 15) * 16 + 2]
+
+    @pytest.mark.parametrize("copies_per_flow", [1, 2.5])
+    def test_failing_seeds_stop_early(self, monkeypatch, copies_per_flow):
+        # every seed falls short: the per-subset copies of the other nodes
+        # are dropped, and each cluster's first Menger flow is short too
+        inst = generate_instance(SbmParams((40, 30, 20), 0.3, 0.1), s=3, rng_seed=0)
+        sub, _ = induced_subgraph(inst.graph, inst.truth.nodes_in(1))
+        budget = int(copies_per_flow * (2 * sub.num_edges + 1))
+        monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
+        flows = counted_flows(monkeypatch)
+        report = analyze_instance(inst)
+        for row in report.clusters:
+            assert not any(flag for _, flag in row.wellconnected_by_seed)
+            assert not row.subset_cut_holds and not row.uniform_cut_by_seed[0][1]
+        assert len(flows) <= 3 * 3 + 3
+
+    def test_seed_copies_issued_first(self, monkeypatch):
+        # a budget that holds every cluster's seed copies and no more: they
+        # share the first flow, and each failing cluster's Menger copies
+        # take one flow each; the other nodes' copies never run
+        inst = generate_instance(SbmParams((40, 30, 20), 0.3, 0.1), s=3, rng_seed=0)
+        nets = [analysis._ClusterNetwork(inst.graph, inst.truth, k) for k in (1, 2, 3)]
+        budget = sum(3 * (2 * net.sub.num_edges + net.boundary.size + 1) for net in nets)
+        monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
+        flows = counted_flows(monkeypatch)
+        analyze_instance(inst)
+        assert flows[0][0] == 3 * (40 + 30 + 20) + 2
+        assert len(flows) == 1 + 3
+
+    def test_holding_copies_fill_whole_flows(self, monkeypatch):
+        # every flow but the last is full to within one copy, so conditions
+        # that hold take no more flows than with flows of their own: a dense
+        # 60-node cluster's check is 6 flows, three such clusters at most 18
+        inst = generate_instance(SbmParams((60, 40), 0.9, 0.01), s=1, rng_seed=1)
+        three = generate_instance(SbmParams((60, 60, 60), 0.9, 0.002), s=3, rng_seed=0)
+        nets = [analysis._ClusterNetwork(three.graph, three.truth, k) for k in (1, 2, 3)]
+        widest = max(2 * net.sub.num_edges + net.boundary.size + 1 for net in nets)
+        flows = counted_flows(monkeypatch)
+        result = subset_cut_check(inst.graph, inst.truth, 1, inst.seeds.per_cluster[0][0])
+        assert result.per_subset_holds and result.uniform_holds
+        assert len(flows) == 6
+        flows.clear()
+        report = analyze_instance(three)
+        assert all(row.subset_cut_holds and row.uniform_cut_by_seed[0][1]
+                   for row in report.clusters)
+        assert len(flows) <= 18
+        assert all(arcs > analysis.FLOW_ARC_CHUNK - widest for _, arcs in flows[:-1])
 
     def test_one_network_per_cluster(self, monkeypatch):
         # one induced subgraph per cluster, and no certificate flow reads a

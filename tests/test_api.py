@@ -19,11 +19,10 @@ MODULE_ONLY = {
     ],
     "tvclust.clustering": ["ClusteringResult", "indicator_targets"],
     "tvclust.graphs": [
-        "boundary_edge_count", "boundary_nodes", "incidence_matrix",
-        "induced_subgraph",
+        "boundary_edge_count", "boundary_nodes", "induced_subgraph",
     ],
     "tvclust.sbm": ["SbmInstance", "SeedSet", "generate", "select_seeds"],
-    "tvclust.solver": ["SolveDiagnostics", "round_to_indicator"],
+    "tvclust.solver": ["SolveDiagnostics"],
     "tvclust.sweep": ["SweepRow"],
 }
 

@@ -320,6 +320,14 @@ class TestInstance:
         with pytest.raises(InstanceFormatError, match="S=0 must be >= 1"):
             read_instance(tmp_path)
 
+    @pytest.mark.parametrize("rng_seed", [-1, 1.5, "7"])
+    def test_permute_bad_rng_seed_named(self, rng_seed):
+        # -1 used to fail inside numpy with a bare ValueError, 1.5 with a
+        # bare TypeError
+        inst = generate_instance(SbmParams((4, 4), 0.9, 0.1), s=1, rng_seed=1)
+        with pytest.raises(RngSeedError, match="rng_seed"):
+            permute_instance(inst, rng_seed)
+
     def test_permutation_preserves_structure(self):
         inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=2, rng_seed=13)
         shuffled = permute_instance(inst, rng_seed=3)

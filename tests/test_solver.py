@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import random_connected_graph, random_graph
+from conftest import random_connected_graph, random_graph, round_to_indicator
 from tvclust.analysis import mincut_tv_oracle
 from tvclust.clustering import cluster, indicator_targets
 from tvclust.graphs import build_graph, total_variation
@@ -14,7 +14,6 @@ from tvclust.solver import (
     SeedValuesError,
     SolverConfig,
     _Sweeper,
-    round_to_indicator,
     solve,
     solve_batch,
 )

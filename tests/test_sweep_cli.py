@@ -195,6 +195,15 @@ class TestCliCluster:
         assert code == 1
         assert "SelfLoopError" in capsys.readouterr().err
 
+    def test_integer_outside_int64_named(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        main(["generate", "--sizes", "3,3", "--p-in", "1", "--p-out", "0",
+              "--num-seeds", "1", "--rng-seed", "7", "--out", str(inst)])
+        (inst / "edges.txt").write_text("0 1\n99999999999999999999 2\n")
+        assert main(["cluster", "--instance", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert "GraphInputError" in err and "edges.txt:2:" in err
+
     def test_inline_params(self, capsys):
         code = main(["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
                      "--num-seeds", "1", "--rng-seed", "5"])
