@@ -16,9 +16,10 @@ verifying solver output exactly:
 * the well-connectedness certificate (every +-2 boundary-weight pattern
   must be routable to the labeled node with unit capacities on
   intra-cluster edges) and the subset-cut conditions (per-subset and
-  uniform), all read off copies of one flow network per cluster.  The copy
-  with exit v decides whether v is well connected, so the per-subset
-  condition holds iff every node of the cluster is;
+  uniform), all read off copies of one flow network per cluster; every
+  cluster's network is cut out of the graph in one pass over its edges.
+  The copy with exit v decides whether v is well connected, so the
+  per-subset condition holds iff every node of the cluster is;
 * closed-form concentration bounds on the boundary size and the spectral
   gap, and the model-parameter recovery condition
   S * p_in / p_out >= beta * n_k * (N - n_k) with its failure bound.
@@ -43,9 +44,8 @@ from tvclust.graphs import (
     DENSE_CAP,
     Graph,
     Partition,
-    boundary_edge_count,
-    boundary_nodes,
-    induced_subgraph,
+    PartitionError,
+    checked_int,
     laplacian,
 )
 from tvclust.sbm import SbmInstance, SbmParams
@@ -59,7 +59,8 @@ class CapacityRangeError(ValueError):
 
 
 class ConditionParameterError(ValueError):
-    """A concentration constant alpha or beta is not finite and positive."""
+    """A concentration constant alpha or beta that is not finite and positive,
+    or a seed count s that is not a positive integer."""
 
 
 def _check_condition_parameter(name: str, value: float) -> None:
@@ -248,24 +249,59 @@ class SubsetCutResult:
 
 
 class _ClusterNetwork:
-    """Cluster k's flow network, the one place every certificate flow is built.
+    """Cluster k cut out of the graph, the one place every certificate flow is
+    built; :meth:`of_every_cluster` cuts every cluster in one pass.
 
-    `sub` is the induced subgraph of the cluster's members (ascending
-    original ids) and `boundary` the positions in it of the boundary nodes
-    B.  A copy of the network is a disjoint copy of `sub` with unit arcs
-    both ways on every edge (`tails` -> `heads`), entry arcs from a source
-    and one arc of capacity demand = 2|B| from its exit node to a sink.
-    Copies of any clusters share one source and sink in :func:`_run_flow`.
+    `sub` is the subgraph induced by `members` (original ids, ascending;
+    node i of `sub` is members[i]) with its edges in the graph's order,
+    `boundary` the positions in it of the boundary nodes B, and
+    `boundary_edges` the number of edges with one end in the cluster.  A
+    copy of the network is a disjoint copy of `sub` with unit arcs both
+    ways on every edge (`tails` -> `heads`), entry arcs from a source and
+    one arc of capacity demand = 2|B| from its exit node to a sink.  Copies
+    of any clusters share one source and sink in :func:`_run_flow`.
     """
 
-    def __init__(self, g: Graph, p: Partition, k: int):
-        boundary = boundary_nodes(g, p, k)
-        self.cluster = k
-        self.sub, self.members = induced_subgraph(g, p.nodes_in(k))
-        self.boundary = np.searchsorted(self.members, boundary)
+    def __init__(self, cluster, members, sub, boundary, boundary_edges):
+        self.cluster, self.members, self.sub = cluster, members, sub
+        self.boundary, self.boundary_edges = boundary, boundary_edges
         self.demand = 2 * boundary.size
-        self.tails = np.concatenate([self.sub.heads, self.sub.tails])
-        self.heads = np.concatenate([self.sub.tails, self.sub.heads])
+        self.tails = np.concatenate([sub.heads, sub.tails])
+        self.heads = np.concatenate([sub.tails, sub.heads])
+
+    @classmethod
+    def of_every_cluster(cls, g: Graph, p: Partition) -> list[_ClusterNetwork]:
+        """The networks of clusters 1..K from one pass over the edges.
+
+        A stable argsort of the assignment lists each cluster's members by
+        ascending id, so a node's position, its rank in its cluster, keeps
+        the order of ids and every edge keeps head < tail: the graph's
+        checked edges need no new check.  A stable sort of the inner edges
+        by cluster keeps their order.
+        """
+        if p.num_nodes != g.num_nodes:
+            raise PartitionError(
+                f"partition covers {p.num_nodes} nodes, graph has {g.num_nodes}"
+            )
+        end_clusters, sizes = p.assignment[g.edges], p.cluster_sizes
+        cross = end_clusters[:, 0] != end_clusters[:, 1]
+        on_boundary = np.zeros(g.num_nodes, dtype=bool)
+        on_boundary[g.edges[cross]] = True
+        crossing = np.bincount(end_clusters[cross].ravel(), minlength=sizes.size + 1)
+        order = np.argsort(p.assignment, kind="stable")
+        node_ends = np.cumsum(sizes)
+        rank = np.empty(g.num_nodes, dtype=np.int32)
+        rank[order] = np.arange(g.num_nodes) - np.repeat(node_ends - sizes, sizes)
+        inner = np.flatnonzero(~cross)
+        inner = inner[np.argsort(end_clusters[inner, 0], kind="stable")]
+        inner_sizes = np.bincount(end_clusters[inner, 0], minlength=sizes.size + 1)
+        members = np.split(order, node_ends[:-1])
+        flags = np.split(on_boundary[order], node_ends[:-1])
+        subs = np.split(rank[g.edges[inner]], np.cumsum(inner_sizes[1:-1]))
+        return [
+            cls(k, nodes, Graph(nodes.size, sub), np.flatnonzero(flag), int(crossing[k]))
+            for k, (nodes, sub, flag) in enumerate(zip(members, subs, flags), 1)
+        ]
 
     def position(self, labeled_node) -> int:
         """Position of a labeled node in `sub`; ValueError for a non-member."""
@@ -410,7 +446,8 @@ def subset_cut_check(
     (one flow for a small cluster), and a condition stops at its first
     short copy; no cluster size is too large to decide.
     """
-    net = _ClusterNetwork(g, p, k)
+    k = p._check_k(k)
+    net = _ClusterNetwork.of_every_cluster(g, p)[k - 1]
     labeled = net.position(labeled_node)
     per_subset = net.exit_copies(np.arange(net.sub.num_nodes))
     uniform = net.menger_copies(labeled)
@@ -440,7 +477,8 @@ def well_connected(g: Graph, p: Partition, k: int, labeled_node: int) -> bool:
     into each boundary node, the labeled node's own arc passing straight
     to the sink.
     """
-    net = _ClusterNetwork(g, p, k)
+    k = p._check_k(k)
+    net = _ClusterNetwork.of_every_cluster(g, p)[k - 1]
     copy = net.exit_copies(np.array([net.position(labeled_node)]))
     _decide([copy])
     return copy.holds
@@ -505,6 +543,9 @@ def recovery_condition_report(
     """
     _check_condition_parameter("alpha", alpha)
     _check_condition_parameter("beta", beta)
+    s = checked_int(s, ConditionParameterError, "s")
+    if s < 1:
+        raise ConditionParameterError(f"s={s} must be >= 1")
     n_total = params.num_nodes
     lhs = math.inf if params.p_out == 0 else s * params.p_in / params.p_out
     rows = []
@@ -562,7 +603,8 @@ def analyze_instance(
 ) -> AnalysisReport:
     """Run every desk-scale certificate on one instance.
 
-    Each cluster's flow network is built once and gives two conditions.
+    Every cluster's flow network comes from one pass over the edges (see
+    :meth:`_ClusterNetwork.of_every_cluster`) and gives two conditions.
     The per-subset one holds iff every node of the cluster is well
     connected; its copies with the seeds as exits always run and give every
     per-seed well-connectedness verdict, and the cluster-level flag is True
@@ -573,17 +615,17 @@ def analyze_instance(
     seed copies first (see :func:`_decide`): a small instance is one flow,
     and a condition with a short copy drops its copies not yet issued, so a
     failing seed decides the per-subset condition with no further flow.
-    The spectral check reuses the network's induced subgraph.
+    The spectral check reuses the network's subgraph and boundary edge count.
     """
     g, truth = instance.graph, instance.truth
     condition = recovery_condition_report(
         instance.params, instance.seeds.seeds_per_cluster, alpha, beta
     )
-    clusters = range(1, truth.num_clusters + 1)
-    nets = [_ClusterNetwork(g, truth, k) for k in clusters]
+    nets = _ClusterNetwork.of_every_cluster(g, truth)
+    groups = instance.seeds.per_cluster
     pairs = []
-    for k, net in zip(clusters, nets):
-        seats = np.array([net.position(i) for i in instance.seeds.per_cluster[k - 1]])
+    for net, seeds_k in zip(nets, groups):
+        seats = np.array([net.position(i) for i in seeds_k])
         others = np.ones(net.sub.num_nodes, dtype=bool)
         others[seats] = False
         pairs.append((
@@ -594,17 +636,15 @@ def analyze_instance(
         ))
     _decide([copies for pair in pairs for copies in pair])
     rows = []
-    for k, net, (per_subset, uniform) in zip(clusters, nets, pairs):
-        seeds_k = instance.seeds.per_cluster[k - 1]
+    for net, seeds_k, (per_subset, uniform) in zip(nets, groups, pairs):
         seed_flags = per_subset.ok[:len(seeds_k)]
-        be = boundary_edge_count(g, truth, k)
-        bound = spectral_cut_bound_check(net.sub, be, g.num_nodes)
+        bound = spectral_cut_bound_check(net.sub, net.boundary_edges, g.num_nodes)
         rows.append(
             ClusterChecks(
-                cluster=k,
+                cluster=net.cluster,
                 size=net.members.size,
                 boundary_node_count=net.boundary.size,
-                boundary_edge_count=be,
+                boundary_edge_count=net.boundary_edges,
                 lambda2=bound.lambda2,
                 spectral_cut_bound_lhs=bound.lhs,
                 spectral_cut_bound_rhs=bound.rhs,
@@ -615,7 +655,7 @@ def analyze_instance(
                 wellconnected_by_seed=tuple(
                     (i, bool(flag)) for i, flag in zip(seeds_k, seed_flags)
                 ),
-                condition=condition.clusters[k - 1],
+                condition=condition.clusters[net.cluster - 1],
             )
         )
     return AnalysisReport(

@@ -208,14 +208,16 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.num_clusters + 1)[1:]
 
     def nodes_in(self, k: int) -> np.ndarray:
-        self._check_k(k)
-        return np.flatnonzero(self.assignment == k)
+        return np.flatnonzero(self.assignment == self._check_k(k))
 
-    def _check_k(self, k: int) -> None:
+    def _check_k(self, k: int) -> int:
+        """`k` as an int; PartitionError unless a cluster index 1..K."""
+        k = checked_int(k, PartitionError, "cluster index")
         if not 1 <= k <= self.num_clusters:
             raise PartitionError(
                 f"cluster index {k} outside 1..{self.num_clusters}"
             )
+        return k
 
 
 def contiguous_partition(cluster_sizes: Sequence[int]) -> Partition:
@@ -225,51 +227,6 @@ def contiguous_partition(cluster_sizes: Sequence[int]) -> Partition:
         raise PartitionError("all cluster sizes must be >= 1")
     assignment = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return Partition(assignment, len(sizes))
-
-
-def boundary_nodes(g: Graph, p: Partition, k: int) -> np.ndarray:
-    """Nodes of cluster k adjacent to at least one node outside cluster k."""
-    p._check_k(k)
-    _check_partition_size(g, p)
-    a = p.assignment
-    cross = a[g.heads] != a[g.tails]
-    on_boundary = np.zeros(g.num_nodes, dtype=bool)
-    on_boundary[g.heads[cross]] = True
-    on_boundary[g.tails[cross]] = True
-    return np.flatnonzero(on_boundary & (a == k))
-
-
-def boundary_edge_count(g: Graph, p: Partition, k: int) -> int:
-    """Number of edges with exactly one endpoint in cluster k.
-
-    This is the Bernoulli-sum reading of the boundary size; the node-set
-    reading is :func:`boundary_nodes`.  The two coincide only sometimes.
-    """
-    p._check_k(k)
-    _check_partition_size(g, p)
-    a = p.assignment
-    in_k = a == k
-    return int((in_k[g.heads] != in_k[g.tails]).sum())
-
-
-def induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
-    """Subgraph induced by `nodes`; returns (subgraph, original-id map).
-
-    New ids 0..len(nodes)-1 follow ascending original id; map[new] = old.
-    """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    new_id = -np.ones(g.num_nodes, dtype=np.int64)
-    new_id[nodes] = np.arange(nodes.size)
-    keep = (new_id[g.heads] >= 0) & (new_id[g.tails] >= 0)
-    sub_edges = np.column_stack([new_id[g.heads[keep]], new_id[g.tails[keep]]])
-    return build_graph(nodes.size, sub_edges), nodes
-
-
-def _check_partition_size(g: Graph, p: Partition) -> None:
-    if p.num_nodes != g.num_nodes:
-        raise PartitionError(
-            f"partition covers {p.num_nodes} nodes, graph has {g.num_nodes}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +283,21 @@ def write_edge_list(path, g: Graph) -> None:
 
 
 def read_partition(path) -> Partition:
-    """Read `node_id cluster_index` lines (clusters 1-based)."""
-    entries = {}
-    for node, c in _read_int_pairs(path, PartitionError).tolist():
-        if node in entries:
-            raise PartitionError(f"{path}: node {node} listed more than once")
-        entries[node] = c
-    if not entries:
+    """Read `node_id cluster_index` lines (clusters 1-based); the ids must be
+    0..P-1 for P lines, in any order, each once."""
+    nodes, clusters = _read_int_pairs(path, PartitionError).T
+    if not nodes.size:
         raise PartitionError(f"{path}: empty partition file")
-    n = max(entries) + 1
-    if sorted(entries) != list(range(n)):
+    order = np.argsort(nodes, kind="stable")
+    repeat = order[1:][nodes[order][1:] == nodes[order][:-1]]
+    if repeat.size:
+        node = nodes[repeat.min()]
+        raise PartitionError(f"{path}: node {node} listed more than once")
+    n = int(nodes.max()) + 1
+    if nodes.min() < 0 or nodes.size != n:
         raise PartitionError(f"{path}: node ids must cover 0..{n - 1}")
-    assignment = np.array([entries[i] for i in range(n)], dtype=np.int64)
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[nodes] = clusters
     return Partition(assignment, int(assignment.max()))
 
 

@@ -27,6 +27,7 @@ from tvclust.graphs import (
     Partition,
     build_graph,
     checked_int,
+    checked_int_array,
     contiguous_partition,
     read_edge_list,
     read_partition,
@@ -61,6 +62,11 @@ class RngSeedError(ValueError):
 
 class InstanceFormatError(ValueError):
     """An instance directory is missing files or has a malformed header."""
+
+
+class SeedGroupError(ValueError):
+    """A seed set that does not hold one nonempty group of its own nodes per
+    cluster."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,23 @@ class SbmInstance:
     seeds: SeedSet
     params: SbmParams
     rng_seed: int
+
+    def __post_init__(self):
+        groups, truth = self.seeds.per_cluster, self.truth
+        sizes = [len(group) for group in groups]
+        if len(sizes) != truth.num_clusters or 0 in sizes:
+            raise SeedGroupError(
+                f"need one nonempty seed group per cluster: {truth.num_clusters} "
+                f"clusters, seed groups of sizes {sizes}"
+            )
+        nodes = checked_int_array(self.seeds.all_nodes, SeedGroupError, "seed ids")
+        home = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        inside = (nodes >= 0) & (nodes < truth.num_nodes)
+        # an id outside the graph looks up node 0 and is stray by `inside`
+        stray = np.flatnonzero(~inside | (truth.assignment[nodes * inside] != home))
+        if stray.size:
+            i = stray[0]
+            raise SeedGroupError(f"seed {nodes[i]} is not a node of cluster {home[i]}")
 
 
 def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:

@@ -37,11 +37,12 @@ they keep gamma_i = 1 and hold their initial value (0 or the seed value).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.graphs import Graph, checked_int_array
+from tvclust.graphs import Graph, checked_int, checked_int_array
 
 _CHECK_EVERY = 8  # sweeps between two certificate checks of a row
 # rows x edges swept together: past it batching saves no dispatch cost, and
@@ -54,7 +55,8 @@ class SeedValuesError(ValueError):
 
 
 class SolverConfigError(ValueError):
-    """A sweep budget below 1 or a negative or non-finite tolerance."""
+    """A sweep budget that is not an integer >= 1, or a tolerance that is not
+    a finite number >= 0."""
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,13 @@ class SolverConfig:
     tol: float = 1e-6  # relative duality gap (TV - bound) / max(1, TV) to stop at
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise SolverConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise SolverConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        max_iters = checked_int(self.max_iters, SolverConfigError, "max_iters")
+        if max_iters < 1:
+            raise SolverConfigError(f"max_iters must be >= 1, got {max_iters}")
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol)
+                and self.tol >= 0):
+            raise SolverConfigError(f"tol must be finite and >= 0, got {self.tol!r}")
+        object.__setattr__(self, "max_iters", max_iters)
 
 
 @dataclass(frozen=True)

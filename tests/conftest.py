@@ -58,3 +58,25 @@ def random_connected_graph(rng, n, p, max_tries=1000):
         if is_connected(g):
             return g
     raise RuntimeError("failed to draw a connected graph")
+
+
+def cluster_view(g, p, k):
+    """Cluster k cut out of g with sets, one edge at a time: the reference
+    for the certificate networks.
+
+    Returns (members, edges, boundary, boundary_edges): the cluster's ids
+    ascending, the edges with both ends inside as (position, position)
+    pairs in the graph's order, the positions of the members with a
+    neighbour outside, and the number of edges with exactly one end inside.
+    """
+    members = [i for i in range(g.num_nodes) if p.assignment[i] == k]
+    position = {node: i for i, node in enumerate(members)}
+    edges, boundary, boundary_edges = [], set(), 0
+    for head, tail in g.edges.tolist():
+        inside = [node for node in (head, tail) if node in position]
+        if len(inside) == 2:
+            edges.append((position[head], position[tail]))
+        elif inside:
+            boundary.add(position[inside[0]])
+            boundary_edges += 1
+    return members, edges, sorted(boundary), boundary_edges

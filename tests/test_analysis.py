@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import random_graph
-from tvclust import analysis
+from conftest import cluster_view, random_graph
+from tvclust import analysis, graphs
 from tvclust.analysis import (
     OracleInputError,
     algebraic_connectivity,
@@ -29,10 +30,9 @@ from tvclust.analysis import (
 from tvclust.clustering import accuracy, cluster
 from tvclust.graphs import (
     Partition,
-    boundary_nodes,
+    PartitionError,
     build_graph,
     contiguous_partition,
-    induced_subgraph,
     laplacian,
     total_variation,
 )
@@ -77,15 +77,13 @@ def well_connected_by_patterns(g, p, k, labeled_node):
     each other boundary node b a forced flow of 2 along t -> b (+2) or
     b -> t (-2).  Each pattern is decided by Hoffman's subset condition.
     """
-    sub, node_map = induced_subgraph(g, p.nodes_in(k))
-    position = {int(orig): new for new, orig in enumerate(node_map)}
-    labeled = position[labeled_node]
-    forced = [position[int(b)] for b in boundary_nodes(g, p, k)]
-    forced = [b for b in forced if b != labeled]
-    t = sub.num_nodes
-    free = 2 * sub.num_edges + 2 * len(forced) + 1
-    base = [(int(u), int(v), 0, 1) for u, v in sub.edges]
-    base += [(int(v), int(u), 0, 1) for u, v in sub.edges]
+    members, edges, boundary, _ = cluster_view(g, p, k)
+    labeled = members.index(labeled_node)
+    forced = [b for b in boundary if b != labeled]
+    t = len(members)
+    free = 2 * len(edges) + 2 * len(forced) + 1
+    base = [(u, v, 0, 1) for u, v in edges]
+    base += [(v, u, 0, 1) for u, v in edges]
     base += [(labeled, t, 0, free), (t, labeled, 0, free)]
     for signs in itertools.product((1, -1), repeat=len(forced)):
         arcs = base + [
@@ -104,14 +102,12 @@ def subset_cuts_by_enumeration(g, p, k, labeled_node):
     proper S, and cut(S) >= 2|B| for every nonempty S avoiding the labeled
     node, with B the boundary nodes of cluster k.
     """
-    sub, node_map = induced_subgraph(g, p.nodes_in(k))
-    position = {int(orig): new for new, orig in enumerate(node_map)}
-    labeled = position[int(labeled_node)]
-    boundary = [position[int(b)] for b in boundary_nodes(g, p, k)]
-    subsets = np.arange(1, (1 << sub.num_nodes) - 1, dtype=np.int64)
+    members, edges, boundary, _ = cluster_view(g, p, k)
+    labeled = members.index(int(labeled_node))
+    subsets = np.arange(1, (1 << len(members)) - 1, dtype=np.int64)
     cut = np.zeros(subsets.size, dtype=np.int64)
-    for u, v in sub.edges:
-        cut += ((subsets >> int(u)) ^ (subsets >> int(v))) & 1
+    for u, v in edges:
+        cut += ((subsets >> u) ^ (subsets >> v)) & 1
     in_boundary = np.zeros(subsets.size, dtype=np.int64)
     for b in boundary:
         in_boundary += (subsets >> b) & 1
@@ -427,7 +423,7 @@ class TestSubsetCut:
             for report in alone[1][30:]
         ]
         assert sum(d >= 3 for d in demands) >= 10
-        bounded = sum(boundary_nodes(g, p, 1).size > 0 for g, p in draws) + sum(
+        bounded = sum(len(cluster_view(g, p, 1)[2]) > 0 for g, p in draws) + sum(
             any(row.boundary_node_count for row in report.clusters)
             for report in alone[1]
         )
@@ -648,6 +644,12 @@ class TestRecoveryConditionReport:
         with pytest.raises(ValueError):
             recovery_condition_report(SbmParams((5, 5), 0.5, 0.1), 1, alpha=-1)
 
+    @pytest.mark.parametrize("s", [0, -1, 2.5, "2", None])
+    def test_bad_seed_count_named(self, s):
+        # 0 and -1 used to give a condition_lhs of 0 or below, 2.5 a fraction
+        with pytest.raises(analysis.ConditionParameterError, match=r"^s\b"):
+            recovery_condition_report(SbmParams((5, 5), 0.5, 0.1), s)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     def test_non_finite_or_non_positive_constants_named(self, bad):
         params = SbmParams((5, 5), 0.5, 0.1)
@@ -758,8 +760,8 @@ class TestAnalyzeInstance:
         # every seed falls short: the per-subset copies of the other nodes
         # are dropped, and each cluster's first Menger flow is short too
         inst = generate_instance(SbmParams((40, 30, 20), 0.3, 0.1), s=3, rng_seed=0)
-        sub, _ = induced_subgraph(inst.graph, inst.truth.nodes_in(1))
-        budget = int(copies_per_flow * (2 * sub.num_edges + 1))
+        inner_edges = cluster_view(inst.graph, inst.truth, 1)[1]
+        budget = int(copies_per_flow * (2 * len(inner_edges) + 1))
         monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
         flows = counted_flows(monkeypatch)
         report = analyze_instance(inst)
@@ -773,8 +775,9 @@ class TestAnalyzeInstance:
         # share the first flow, and each failing cluster's Menger copies
         # take one flow each; the other nodes' copies never run
         inst = generate_instance(SbmParams((40, 30, 20), 0.3, 0.1), s=3, rng_seed=0)
-        nets = [analysis._ClusterNetwork(inst.graph, inst.truth, k) for k in (1, 2, 3)]
-        budget = sum(3 * (2 * net.sub.num_edges + net.boundary.size + 1) for net in nets)
+        views = [cluster_view(inst.graph, inst.truth, k) for k in (1, 2, 3)]
+        budget = sum(3 * (2 * len(edges) + len(boundary) + 1)
+                     for _, edges, boundary, _ in views)
         monkeypatch.setattr(analysis, "FLOW_ARC_CHUNK", budget)
         flows = counted_flows(monkeypatch)
         analyze_instance(inst)
@@ -787,8 +790,9 @@ class TestAnalyzeInstance:
         # 60-node cluster's check is 6 flows, three such clusters at most 18
         inst = generate_instance(SbmParams((60, 40), 0.9, 0.01), s=1, rng_seed=1)
         three = generate_instance(SbmParams((60, 60, 60), 0.9, 0.002), s=3, rng_seed=0)
-        nets = [analysis._ClusterNetwork(three.graph, three.truth, k) for k in (1, 2, 3)]
-        widest = max(2 * net.sub.num_edges + net.boundary.size + 1 for net in nets)
+        views = [cluster_view(three.graph, three.truth, k) for k in (1, 2, 3)]
+        widest = max(2 * len(edges) + len(boundary) + 1
+                     for _, edges, boundary, _ in views)
         flows = counted_flows(monkeypatch)
         result = subset_cut_check(inst.graph, inst.truth, 1, inst.seeds.per_cluster[0][0])
         assert result.per_subset_holds and result.uniform_holds
@@ -800,24 +804,74 @@ class TestAnalyzeInstance:
         assert len(flows) <= 18
         assert all(arcs > analysis.FLOW_ARC_CHUNK - widest for _, arcs in flows[:-1])
 
-    def test_one_network_per_cluster(self, monkeypatch):
-        # one induced subgraph per cluster, and no certificate flow reads a
+    def test_one_pass_per_call(self, monkeypatch):
+        # every cluster's network comes from one pass over the edges per
+        # call, no graph is built anew, and no certificate flow reads a
         # residual network
         calls = []
+        one_pass = analysis._ClusterNetwork.of_every_cluster
 
-        def counted(g, nodes):
-            calls.append(len(nodes))
-            return induced_subgraph(g, nodes)
+        def counted(g, p):
+            nets = one_pass(g, p)
+            calls.append([net.sub.num_nodes for net in nets])
+            return nets
 
-        def no_bfs(*args, **kwargs):
-            raise AssertionError("residual BFS in a certificate flow")
+        def refused(*args, **kwargs):
+            raise AssertionError("a certificate rebuilt a graph or read a residual")
 
-        monkeypatch.setattr(analysis, "induced_subgraph", counted)
-        monkeypatch.setattr(analysis, "breadth_first_order", no_bfs)
+        monkeypatch.setattr(analysis._ClusterNetwork, "of_every_cluster", counted)
+        monkeypatch.setattr(graphs, "build_graph", refused)
+        monkeypatch.setattr(analysis, "breadth_first_order", refused)
         inst = generate_instance(SbmParams((9, 7, 8), 0.7, 0.1), s=3, rng_seed=4)
         report = analyze_instance(inst)
-        assert calls == [9, 7, 8]
+        assert calls == [[9, 7, 8]]
         assert [len(row.wellconnected_by_seed) for row in report.clusters] == [3, 3, 3]
         subset_cut_check(inst.graph, inst.truth, 2, inst.seeds.per_cluster[1][0])
         well_connected(inst.graph, inst.truth, 3, inst.seeds.per_cluster[2][0])
-        assert calls == [9, 7, 8, 7, 8]
+        assert calls == [[9, 7, 8]] * 3
+
+
+@st.composite
+def graph_and_partition(draw):
+    """A graph of 1-14 nodes, edges in a drawn order, and a partition of its
+    nodes into 1..n clusters in a drawn arrangement (not id blocks)."""
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(1, k), min_size=n - k, max_size=n - k))
+    assignment = draw(st.permutations(list(range(1, k + 1)) + extra))
+    pairs = draw(st.permutations([(i, j) for i in range(n) for j in range(i + 1, n)]))
+    edges = pairs[:draw(st.integers(0, len(pairs)))]
+    return build_graph(n, edges), Partition(np.array(assignment), k)
+
+
+class TestClusterNetworks:
+    @settings(deadline=None, max_examples=300)
+    @given(graph_and_partition())
+    # one cluster; singletons, none with an inner edge; no boundary; no edge;
+    # interleaved clusters with edges out of id order
+    @example((build_graph(3, [(0, 1), (1, 2)]), Partition(np.array([1, 1, 1]), 1)))
+    @example((build_graph(3, [(1, 2), (0, 1)]), Partition(np.array([1, 2, 3]), 3)))
+    @example((build_graph(4, [(2, 3), (0, 1)]), Partition(np.array([1, 1, 2, 2]), 2)))
+    @example((build_graph(2, []), Partition(np.array([2, 1]), 2)))
+    @example((build_graph(5, [(3, 4), (0, 2), (1, 4), (1, 3), (0, 1)]),
+              Partition(np.array([2, 1, 2, 1, 1]), 2)))
+    def test_one_pass_matches_set_reference(self, case):
+        g, p = case
+        nets = analysis._ClusterNetwork.of_every_cluster(g, p)
+        assert [net.cluster for net in nets] == list(range(1, p.num_clusters + 1))
+        for net in nets:
+            members, edges, boundary, boundary_edges = cluster_view(g, p, net.cluster)
+            assert net.members.tolist() == members
+            assert net.sub.num_nodes == len(members)
+            assert net.sub.edges.tolist() == [list(e) for e in edges]
+            assert net.sub.edges.dtype == g.edges.dtype
+            assert net.sub.degrees.tolist() == np.bincount(
+                np.ravel(edges).astype(int), minlength=len(members)
+            ).tolist()
+            assert net.boundary.tolist() == boundary
+            assert net.boundary_edges == boundary_edges
+
+    def test_partition_must_cover_the_graph(self, bridge_graph):
+        for check in (subset_cut_check, well_connected):
+            with pytest.raises(PartitionError, match="covers 6 nodes, graph has 8"):
+                check(bridge_graph, contiguous_partition([3, 3]), 1, 0)

@@ -18,9 +18,6 @@ MODULE_ONLY = {
         "spectral_concentration_bound", "spectral_cut_bound_check",
     ],
     "tvclust.clustering": ["ClusteringResult", "indicator_targets"],
-    "tvclust.graphs": [
-        "boundary_edge_count", "boundary_nodes", "induced_subgraph",
-    ],
     "tvclust.sbm": ["SbmInstance", "SeedSet", "generate", "select_seeds"],
     "tvclust.solver": ["SolveDiagnostics"],
     "tvclust.sweep": ["SweepRow"],

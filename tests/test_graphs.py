@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import incidence_matrix, random_graph
+from tvclust.analysis import _ClusterNetwork, subset_cut_check
 from tvclust.graphs import (
     DENSE_CAP,
     DenseCapExceededError,
@@ -17,11 +18,8 @@ from tvclust.graphs import (
     PartitionError,
     SelfLoopError,
     SignalLengthError,
-    boundary_edge_count,
-    boundary_nodes,
     build_graph,
     contiguous_partition,
-    induced_subgraph,
     laplacian,
     read_edge_list,
     read_partition,
@@ -223,52 +221,53 @@ class TestPartition:
 
 class TestBoundary:
     def test_bridge_boundaries(self, bridge_graph, bridge_partition):
-        assert_array_equal(boundary_nodes(bridge_graph, bridge_partition, 1), [3])
-        assert_array_equal(boundary_nodes(bridge_graph, bridge_partition, 2), [4])
+        one, two = _ClusterNetwork.of_every_cluster(bridge_graph, bridge_partition)
+        assert_array_equal(one.members[one.boundary], [3])
+        assert_array_equal(two.members[two.boundary], [4])
 
     def test_no_cross_edges(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        p = contiguous_partition([2, 2])
-        assert boundary_nodes(g, p, 1).size == 0
-        assert boundary_edge_count(g, p, 1) == 0
+        one, _ = _ClusterNetwork.of_every_cluster(g, contiguous_partition([2, 2]))
+        assert one.boundary.size == 0
+        assert one.boundary_edges == 0
 
     def test_complete_graph_all_boundary(self):
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         g = build_graph(6, edges)
-        p = contiguous_partition([3, 3])
-        assert_array_equal(boundary_nodes(g, p, 1), [0, 1, 2])
-        assert_array_equal(boundary_nodes(g, p, 2), [3, 4, 5])
+        one, two = _ClusterNetwork.of_every_cluster(g, contiguous_partition([3, 3]))
+        assert_array_equal(one.members[one.boundary], [0, 1, 2])
+        assert_array_equal(two.members[two.boundary], [3, 4, 5])
 
     def test_bridge_edge_count(self, bridge_graph, bridge_partition):
-        assert boundary_edge_count(bridge_graph, bridge_partition, 1) == 1
+        one, _ = _ClusterNetwork.of_every_cluster(bridge_graph, bridge_partition)
+        assert one.boundary_edges == 1
 
     def test_full_bipartite_cross(self):
         # clusters of sizes 3 and 4 with every cross pair present: 12 edges
         edges = [(i, j) for i in range(3) for j in range(3, 7)]
         g = build_graph(7, edges)
-        p = contiguous_partition([3, 4])
-        assert boundary_edge_count(g, p, 1) == 12
-        assert boundary_edge_count(g, p, 2) == 12
+        one, two = _ClusterNetwork.of_every_cluster(g, contiguous_partition([3, 4]))
+        assert one.boundary_edges == two.boundary_edges == 12
 
     def test_two_cluster_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_graph(rng, 14, 0.3)
-            p = contiguous_partition([6, 8])
-            assert boundary_edge_count(g, p, 1) == boundary_edge_count(g, p, 2)
+            one, two = _ClusterNetwork.of_every_cluster(g, contiguous_partition([6, 8]))
+            assert one.boundary_edges == two.boundary_edges
 
     def test_invalid_cluster_index(self, bridge_graph, bridge_partition):
-        with pytest.raises(PartitionError):
-            boundary_nodes(bridge_graph, bridge_partition, 3)
+        for k in (0, 3, 1.5):
+            with pytest.raises(PartitionError):
+                subset_cut_check(bridge_graph, bridge_partition, k, 0)
 
 
 class TestInducedSubgraph:
-    def test_induced_subgraph_map(self, bridge_graph):
-        sub, node_map = induced_subgraph(bridge_graph, np.array([4, 5, 6, 7]))
-        assert sub.num_nodes == 4
-        assert_array_equal(node_map, [4, 5, 6, 7])
-        expected = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
-        assert set(map(tuple, sub.edges.tolist())) == expected
+    def test_induced_subgraph_map(self, bridge_graph, bridge_partition):
+        two = _ClusterNetwork.of_every_cluster(bridge_graph, bridge_partition)[1]
+        assert two.sub.num_nodes == 4
+        assert_array_equal(two.members, [4, 5, 6, 7])
+        assert two.sub.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
 
 
 class TestFileFormats:
@@ -340,6 +339,26 @@ class TestFileFormats:
         path = tmp_path / "partition.txt"
         path.write_text("0 1\n1 2\n2 1\n0 2\n")
         with pytest.raises(PartitionError, match="node 0 listed more than once"):
+            read_partition(path)
+        # the first line that repeats an id names it, not the smallest id
+        path.write_text("1 1\n2 1\n2 2\n1 2\n0 1\n")
+        with pytest.raises(PartitionError, match="node 2 listed more than once"):
+            read_partition(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0 1\n100000000000 1\n", r"cover 0\.\.100000000000$"),
+         ("0 1\n2 1\n", r"cover 0\.\.2$"),
+         ("-1 1\n0 1\n", r"cover 0\.\.0$"),
+         ("# no entries\n", "empty partition file")],
+        ids=["huge_id", "gap", "negative_id", "empty"],
+    )
+    def test_partition_ids_must_cover(self, tmp_path, text, message):
+        # a huge id used to raise a bare MemoryError: the reader built a
+        # list of every id up to it
+        path = tmp_path / "partition.txt"
+        path.write_text(text)
+        with pytest.raises(PartitionError, match=message):
             read_partition(path)
 
     def test_partition_round_trip(self, tmp_path, bridge_partition):

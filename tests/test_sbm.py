@@ -8,9 +8,12 @@ from tvclust import sbm
 from tvclust.sbm import (
     InstanceFormatError,
     RngSeedError,
+    SbmInstance,
     SbmParams,
     SbmParamsError,
     SeedCountError,
+    SeedGroupError,
+    SeedSet,
     generate,
     generate_instance,
     permute_instance,
@@ -240,6 +243,25 @@ class TestInstance:
         assert inst.graph.num_nodes == 20
         assert inst.seeds.seeds_per_cluster == 2
         assert inst.rng_seed == 21
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [(((0,),), r"2 clusters, seed groups of sizes \[1\]"),
+         (((0,), (6,), (7,)), r"2 clusters, seed groups of sizes \[1, 1, 1\]"),
+         (((0,), ()), r"2 clusters, seed groups of sizes \[1, 0\]"),
+         (((0,), (1,)), "seed 1 is not a node of cluster 2"),
+         (((0,), (12,)), "seed 12 is not a node of cluster 2"),
+         (((-1,), (6,)), "seed -1 is not a node of cluster 1"),
+         (((0.5,), (6,)), "seed ids must be integers")],
+        ids=["fewer", "extra", "empty", "wrong_cluster", "past_last", "negative",
+             "fraction"],
+    )
+    def test_seed_groups_checked(self, groups, message):
+        # fewer or empty groups used to make analyze_instance raise a bare
+        # IndexError; extra groups and stray seeds were taken without a word
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=2, rng_seed=0)
+        with pytest.raises(SeedGroupError, match=message):
+            SbmInstance(inst.graph, inst.truth, SeedSet(groups), inst.params, 0)
 
     @pytest.mark.parametrize("rng_seed", [-1, 2.5, "7"])
     def test_bad_rng_seed_named(self, rng_seed):

@@ -13,6 +13,7 @@ from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import (
     SeedValuesError,
     SolverConfig,
+    SolverConfigError,
     _Sweeper,
     solve,
     solve_batch,
@@ -198,6 +199,22 @@ class TestConfig:
     def test_bad_max_iters_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iters", 10.5), ("max_iters", "10"), ("max_iters", None),
+         ("tol", "1e-6"), ("tol", None)],
+    )
+    def test_non_number_settings_named(self, field, value):
+        # each used to raise a bare TypeError
+        with pytest.raises(SolverConfigError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_integer_valued_max_iters_stored_as_int(self):
+        # 10.0 used to be accepted and then fail in solve with a TypeError
+        config = SolverConfig(max_iters=10.0)
+        assert config == SolverConfig(max_iters=10) and type(config.max_iters) is int
+        assert solve(PATH2, {0: 1.0}, config)[1].iters <= 10
 
     def test_two_fields(self):
         fields = [f.name for f in dataclasses.fields(SolverConfig)]

@@ -337,7 +337,37 @@ def test_bad_solver_setting_named_error(argv, tmp_path, monkeypatch, capsys):
     assert "error: SolverConfigError: " in capsys.readouterr().err
 
 
+# `tvclust generate` arguments of the instances whose `tvclust analyze` CSVs,
+# each after a `# <arguments>` line, make up tests/data/golden_analysis.csv:
+# a certified (16,16) draw, failing (100,100) and (60,60,60) draws, holding
+# (60,60,60) and (50,50) draws, a permuted draw (clusters that are not id
+# blocks) and one cluster with no boundary
+GOLDEN_ANALYSIS = (
+    "--sizes 16,16 --p-in 0.9 --p-out 0.02 --num-seeds 2 --rng-seed 0",
+    "--sizes 100,100 --p-in 0.3 --p-out 0.05 --num-seeds 5 --rng-seed 1",
+    "--sizes 60,60,60 --p-in 0.5 --p-out 0.02 --num-seeds 3 --rng-seed 0",
+    "--sizes 60,60,60 --p-in 0.9 --p-out 0.002 --num-seeds 3 --rng-seed 0",
+    "--sizes 50,50 --p-in 0.5 --p-out 0.025 --num-seeds 5 --rng-seed 3",
+    "--sizes 20,10,15 --p-in 0.9 --p-out 0.01 --num-seeds 2 --rng-seed 0 --permute",
+    "--sizes 12 --p-in 0.5 --p-out 0 --num-seeds 1 --rng-seed 2",
+)
+
+
+def golden_analysis_bytes(tmp_path) -> bytes:
+    parts = []
+    for i, args in enumerate(GOLDEN_ANALYSIS):
+        inst, out = tmp_path / f"inst{i}", tmp_path / f"analysis{i}.csv"
+        assert main(["generate", *args.split(), "--out", str(inst)]) == 0
+        assert main(["analyze", "--instance", str(inst), "--out", str(out)]) == 0
+        parts.append(f"# {args}\r\n".encode() + out.read_bytes())
+    return b"".join(parts)
+
+
 class TestCliAnalyze:
+    def test_golden_analysis_csv(self, tmp_path):
+        golden = (DATA / "golden_analysis.csv").read_bytes()
+        assert golden_analysis_bytes(tmp_path) == golden
+
     def test_bridge_style_instance_report(self, tmp_path):
         # hand-written instance: two dense blocks, one bridge, seeds 0 and 7
         inst = tmp_path / "inst"
