@@ -24,10 +24,10 @@ result = cluster(instance.graph, instance.seeds.labels(), SolverConfig())
 acc = accuracy(result, instance.truth, instance.seeds)
 print(f"accuracy over the {instance.graph.num_nodes - 10} unlabeled nodes: {acc}")
 
-# The indicator estimates are nearly binary on a well-separated
-# instance; peek at a few entries of the cluster-1 score vector.
+# Each score row is an exact optimum of its solve: 0/1 wherever the optimal
+# cut is unique; peek at a few entries of the cluster-1 score vector.
 np.set_printoptions(precision=3, suppress=True)
-print("cluster-1 indicator estimate, first 8 nodes: ", result.scores[0, :8])
-print("cluster-1 indicator estimate, last 8 nodes:  ", result.scores[0, -8:])
+print("cluster-1 scores, first 8 nodes: ", result.scores[0, :8])
+print("cluster-1 scores, last 8 nodes:  ", result.scores[0, -8:])
 for k, diag in enumerate(result.diagnostics, start=1):
     print(f"solve k={k}: {diag.as_text()}")

@@ -618,11 +618,14 @@ def analyze_instance(
     The spectral check reuses the network's subgraph and boundary edge count.
     """
     g, truth = instance.graph, instance.truth
-    condition = recovery_condition_report(
-        instance.params, instance.seeds.seeds_per_cluster, alpha, beta
-    )
-    nets = _ClusterNetwork.of_every_cluster(g, truth)
     groups = instance.seeds.per_cluster
+    # each cluster's condition counts its own seeds; the failure bound does
+    # not depend on the seed count
+    conditions = {
+        s: recovery_condition_report(instance.params, s, alpha, beta)
+        for s in {len(seeds_k) for seeds_k in groups}
+    }
+    nets = _ClusterNetwork.of_every_cluster(g, truth)
     pairs = []
     for net, seeds_k in zip(nets, groups):
         seats = np.array([net.position(i) for i in seeds_k])
@@ -655,9 +658,10 @@ def analyze_instance(
                 wellconnected_by_seed=tuple(
                     (i, bool(flag)) for i, flag in zip(seeds_k, seed_flags)
                 ),
-                condition=condition.clusters[net.cluster - 1],
+                condition=conditions[len(seeds_k)].clusters[net.cluster - 1],
             )
         )
+    condition = conditions[len(groups[0])]
     return AnalysisReport(
         tuple(rows),
         condition.failure_bound_raw,

@@ -242,9 +242,10 @@ def cmd_cluster(args) -> int:
     if out:
         write_result_csv(out, result, instance.truth, instance.seeds)
     unlabeled = instance.graph.num_nodes - len(instance.seeds.all_nodes)
+    reasons = ",".join(sorted({d.stop_reason for d in result.diagnostics}))
     print(f"accuracy={acc!r} unlabeled={unlabeled} "
           f"iters={max(d.iters for d in result.diagnostics)} "
-          f"gap={max(d.gap for d in result.diagnostics)!r}")
+          f"gap={max(d.gap for d in result.diagnostics)!r} stop_reason={reasons}")
     return 0
 
 

@@ -2,10 +2,13 @@
 
 For each cluster k the labeled nodes define a 0/1 indicator target (1 on
 seeds of cluster k, 0 on every other seed); the K TV-minimization solves
-run as one batch, each produces an indicator estimate, and every
-node is assigned to the cluster whose estimate is largest.  Exact ties go
-to the smallest cluster index, which keeps the decoding deterministic and
-independent of evaluation order.
+run as one batch, and every node is assigned to the cluster whose score is
+largest.  A 0/1 target's solve normally stops on a level set that meets the
+integer bound (see :mod:`tvclust.solver`): its score row is then an exact
+optimum, the average of the iterate's optimal level sets, which is 0/1
+wherever the optimal cut is unique and in between on the nodes where
+optimal cuts disagree.  Exact ties go to the smallest cluster index, which
+keeps the decoding deterministic and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class SeedLabelError(ValueError):
 @dataclass(frozen=True)
 class ClusteringResult:
     assignment: np.ndarray  # (N,) estimated cluster index per node, 1..K
-    scores: np.ndarray  # (K, N) indicator estimates, one solve per row
+    scores: np.ndarray  # (K, N) one solve's signal per row
     diagnostics: tuple[SolveDiagnostics, ...]  # one entry per cluster
 
     @property

@@ -129,6 +129,11 @@ class SbmInstance:
 
     def __post_init__(self):
         groups, truth = self.seeds.per_cluster, self.truth
+        if self.params.cluster_sizes != tuple(truth.cluster_sizes.tolist()):
+            raise SbmParamsError(
+                f"params cluster_sizes {list(self.params.cluster_sizes)} but the "
+                f"partition's cluster sizes are {truth.cluster_sizes.tolist()}"
+            )
         sizes = [len(group) for group in groups]
         if len(sizes) != truth.num_clusters or 0 in sizes:
             raise SeedGroupError(

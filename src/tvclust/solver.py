@@ -30,6 +30,22 @@ relative gap (TV - bound) / max(1, TV) is at most ``tol`` and leaves the
 batch with its own sweep count; a row that never certifies returns its
 best checked signal after ``max_iters`` sweeps, unconverged.
 
+A row whose labeled values are 0 and 1 (both present) stops sooner, and
+exactly.  The edges have unit weight, so its optimum OPT is an integer
+cut and OPT >= ceil(bound); by the coarea formula TV(x) is the average over
+t in [0, 1) of the cuts of the level sets {x > t} of the clipped iterate,
+so some level set cuts at most TV(x) (the thresholding theorem of Chan,
+Esedoglu and Nikolova, 2006).  At each check the row ranks its nodes by
+value once and reads the cut of every level set off one cumulative sum
+over the edges' ranks; once the least of them is at most ceil(bound), the
+level sets that reach it are optimal.  The row returns their average,
+weighted by threshold length and rounded to a 2^-24 grid: a convex
+combination of optima (its TV is OPT, exactly), 0/1 wherever the optimum is
+unique, and a monotone remap of the iterate, so the solver's ordering of
+the nodes on the optimal face stays.  It reports bound = ceil(bound) and
+gap = 0.  ``SolveDiagnostics.stop_reason`` says which stop ended a row:
+"level_set", "gap" or "budget" (max_iters without a certificate).
+
 :func:`solve` is the one-problem case.  Isolated nodes have no messages;
 they keep gamma_i = 1 and hold their initial value (0 or the seed value).
 """
@@ -81,10 +97,12 @@ class SolveDiagnostics:
     converged: bool  # gap <= tol
     bound: float  # certified lower bound on the optimal TV
     gap: float  # (tv_final - bound) / max(1, tv_final)
+    stop_reason: str  # "level_set", "gap" or "budget"
 
     def as_text(self) -> str:
         return (f"iters={self.iters} tv_final={self.tv_final!r} bound={self.bound!r} "
-                f"gap={self.gap!r} converged={self.converged}")
+                f"gap={self.gap!r} converged={self.converged} "
+                f"stop_reason={self.stop_reason}")
 
 
 def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +176,13 @@ class _Sweeper:
         x_prev.reshape(-1)[self.seeds] = seed_values.reshape(-1)
         return divergence
 
+    def tv(self, x) -> np.ndarray:
+        """The TV of each row of the (k, N) signal x."""
+        flat = x.reshape(-1)
+        diff = flat.take(self.heads, out=self.diff, mode="clip")
+        diff -= flat.take(self.tails, out=self.at_tails, mode="clip")
+        return np.abs(diff, out=diff).reshape(len(x), -1).sum(axis=1)
+
     def certify(self, x, divergence, seed_values):
         """The (k, N) iterate x clipped to each row's seed-value range [lo,
         hi] (a view of a work buffer), its TV per row, and the weak-duality
@@ -165,14 +190,50 @@ class _Sweeper:
         lo = seed_values.min(axis=1, keepdims=True)
         hi = seed_values.max(axis=1, keepdims=True)
         clipped = np.clip(x, lo, hi, out=self.x_tilde)
-        flat = clipped.reshape(-1)
-        diff = flat.take(self.heads, out=self.diff, mode="clip")
-        diff -= flat.take(self.tails, out=self.at_tails, mode="clip")
-        tv = np.abs(diff, out=diff).reshape(len(x), -1).sum(axis=1)
+        tv = self.tv(clipped)
         terms = np.minimum(divergence * lo, divergence * hi)
         at_seeds = divergence.reshape(-1)[self.seeds] * seed_values.reshape(-1)
         terms.reshape(-1)[self.seeds] = at_seeds
         return clipped, tv, terms.sum(axis=1)
+
+    def level_sets(self, clipped, floor):
+        """Which rows of the clipped (k, N) iterate have a level set {x > t},
+        t below the row's top value, that cuts at most `floor` edges, and
+        the (k, N) signal whose certified rows are the average of their
+        optimal level sets weighted by threshold length (its other rows are
+        0), or None when no row certifies.
+
+        With a row's nodes sorted by value, each level set is the complement
+        of the first m + 1 nodes, for the m at which the sorted value steps
+        up; an edge crosses that prefix iff its lower rank is <= m < its
+        higher rank, so one cumulative sum gives the cut of every prefix.
+        """
+        k, n = clipped.shape
+        # flat indices, row by row in ascending value; ties have no level
+        # set between them, so their order does not matter
+        order = np.argsort(clipped, axis=1) + np.arange(0, k * n, n)[:, None]
+        rank = np.empty(k * n, dtype=np.int64)  # rank in the row + row * N
+        rank[order] = np.arange(k * n).reshape(k, n)
+        at_heads, at_tails = rank.take(self.heads), rank.take(self.tails)
+        crossings = np.bincount(np.minimum(at_heads, at_tails), minlength=k * n)
+        crossings -= np.bincount(np.maximum(at_heads, at_tails), minlength=k * n)
+        cut = np.cumsum(crossings.reshape(k, n), axis=1)
+        # prefix m is the complement of {x > t} for t in [value m, value m + 1)
+        length = np.zeros((k, n))
+        length[:, :-1] = np.diff(clipped.take(order), axis=1)
+        least = np.where(length > 0, cut, np.iinfo(cut.dtype).max).min(axis=1)
+        exact = least <= floor
+        if not exact.any():
+            return exact, None
+        optimal = cut[exact] == least[exact, None]
+        total = np.cumsum(np.where(optimal, length[exact], 0.0), axis=1)
+        by_rank = np.zeros(total.shape)
+        by_rank[:, 1:] = total[:, :-1] / total[:, -1:]
+        signal = np.zeros(k * n)
+        # on a grid of 2^-24 steps every edge difference and every partial
+        # sum of the TV is exact below 2^29 edges: the signal's TV is OPT
+        signal[order[exact]] = np.rint(by_rank * 2.0**24) / 2.0**24
+        return exact, signal.reshape(k, n)
 
 
 def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -193,7 +254,9 @@ def solve_batch(
     seed_ids holds the S labeled node ids in ascending order and the
     (K, S) seed_values their values per problem.  Returns the (K, N)
     matrix whose row k is problem k's checked iterate of least TV, clipped
-    to the range of its labeled values, and one diagnostics entry per row.
+    to the range of its labeled values (for a 0/1 row stopped on a level
+    set, the average of its optimal level sets), and one diagnostics entry
+    per row.
     Non-convergence within max_iters is not an error (the problem always
     has a solution); it is reported through the `converged` flag.  Rows
     are swept in groups of max(1, _ROW_EDGES // E).
@@ -217,6 +280,9 @@ def _solve_rows(g, seed_ids, seed_values, config, scores) -> list[SolveDiagnosti
     rows = np.arange(k)  # the problem each active row solves
     tv, bound, gap = np.full(k, np.inf), np.full(k, -np.inf), np.empty(k)
     iters = np.full(k, config.max_iters)
+    reason = np.full(k, "budget", dtype=object)
+    zero, one = values == 0.0, values == 1.0
+    binary = (zero | one).all(axis=1) & zero.any(axis=1) & one.any(axis=1)
     for r in range(1, config.max_iters + 1):
         divergence = sweeper.sweep(x_prev, x_cur, y, values)
         x_prev, x_cur = x_cur, x_prev
@@ -229,25 +295,38 @@ def _solve_rows(g, seed_ids, seed_values, config, scores) -> list[SolveDiagnosti
         bound[rows] = np.maximum(bound[rows], bound_now)
         gap[rows] = (tv[rows] - bound[rows]) / np.maximum(1.0, tv[rows])
         stop = gap[rows] <= config.tol
+        reason[rows[stop]] = "gap"
+        if binary.any():
+            # OPT of a 0/1 row is an integer: a level set that reaches the
+            # rounded-up bound is an optimum
+            floor = np.ceil(bound[rows] - 1e-9 * np.maximum(1.0, np.abs(bound[rows])))
+            exact, signal = sweeper.level_sets(clipped, np.where(binary, floor, -np.inf))
+            if signal is not None:
+                done = rows[exact]
+                scores[done] = signal[exact]
+                tv[done] = sweeper.tv(signal)[exact]
+                bound[done], gap[done], reason[done] = floor[exact], 0.0, "level_set"
+                stop |= exact
         if not stop.any():
             continue
         iters[rows[stop]] = r
-        x_prev, x_cur, y, values, rows = (
-            _compact(a, ~stop) for a in (x_prev, x_cur, y, values, rows)
+        x_prev, x_cur, y, values, binary, rows = (
+            _compact(a, ~stop) for a in (x_prev, x_cur, y, values, binary, rows)
         )
         sweeper.keep_rows(rows.size)
         if rows.size == 0:
             break
     return [
-        SolveDiagnostics(int(i), float(t), bool(e <= config.tol), float(b), float(e))
-        for i, t, b, e in zip(iters, tv, bound, gap)
+        SolveDiagnostics(int(i), float(t), bool(e <= config.tol), float(b), float(e), s)
+        for i, t, b, e, s in zip(iters, tv, bound, gap, reason)
     ]
 
 
 def solve(
     g: Graph, seed_values: dict, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Run sweeps until the duality gap is certified or max_iters is reached.
+    """Run sweeps until a level set or the duality gap is certified, or
+    max_iters is reached.
 
     The one-problem case of :func:`solve_batch`: returns (x, diagnostics)
     for the labeled values given as a {node: value} dict.

@@ -7,13 +7,14 @@ bit.
 
 Known red: criterion 4b (cross-curve collapse within 0.1 at matched
 seed-scaled ratios).  On the 10-rep reference sweep the worst difference,
-0.139, has a standard error of 0.102: at 10 reps the verdict is mostly
-sampling noise.  At 400 reps the worst difference is 0.091 with exact
-min-cut solves and 0.112 with the PDHG solver as it then was, which decoded
-averaged iterates (the old tail-average decode; today's clipped last
-iterate has not been measured at 400 reps); the two differ by the argmax
-decode of nodes with no unique optimal label, not by solver error.  The
-test asserts the criterion as written and reports the measurement.
+0.141 (0.139 before the level-set stop), has a standard error of about 0.1:
+at 10 reps the verdict is mostly sampling noise.  At 400 reps the worst
+difference is 0.091 with exact min-cut solves and 0.112 with the PDHG
+solver as it then was, which decoded averaged iterates (the old
+tail-average decode; today's average of optimal level sets has not been
+measured at 400 reps); the two differ by the argmax decode of nodes with
+no unique optimal label, not by solver error.  The test asserts the
+criterion as written and reports the measurement.
 """
 
 import itertools
@@ -208,8 +209,8 @@ def test_criterion_4a_accuracy_monotone_in_ratio(reference_sweep):
 
 def test_criterion_4b_curves_collapse(reference_sweep):
     # As specified: curves for different S agree within 0.1 wherever their
-    # ratio grids intersect.  At these 10 reps it fails (0.139, standard
-    # error 0.102).  At 400 reps the S=5 and S=15 curves differ by 0.091
+    # ratio grids intersect.  At these 10 reps it fails (0.141, standard
+    # error about 0.1).  At 400 reps the S=5 and S=15 curves differ by 0.091
     # around ratio 45 with exact min-cut solves and by 0.112 with PDHG's
     # old tail-average decode, whose averaged scores decode the non-unique
     # nodes differently.

@@ -679,6 +679,26 @@ class TestAnalyzeInstance:
         assert report.clusters[0].wellconnected_by_seed == ((0, True),)
         assert report.clusters[1].wellconnected_by_seed == ((7, True),)
 
+    def test_each_cluster_condition_counts_its_own_seeds(
+        self, bridge_graph, bridge_partition
+    ):
+        # one seed in cluster 1, two in cluster 2: every cluster's condition
+        # used to take the first group's count
+        params = SbmParams((4, 4), 0.9, 0.1)
+        inst = SbmInstance(bridge_graph, bridge_partition, SeedSet(((0,), (6, 7))),
+                           params, rng_seed=0)
+        report = analyze_instance(inst)
+        for k, s in ((1, 1), (2, 2)):
+            want = recovery_condition_report(params, s).clusters[k - 1]
+            assert report.clusters[k - 1].condition == want
+        assert [row.condition.condition_lhs for row in report.clusters] == [
+            pytest.approx(9.0), pytest.approx(18.0)
+        ]
+        # the failure bound does not depend on the seed count
+        assert report.failure_bound_raw == recovery_condition_report(
+            params, 1
+        ).failure_bound_raw
+
     def test_disconnected_cluster_flagged(self):
         graph = build_graph(4, [(0, 2), (1, 2), (2, 3)])  # cluster 1 = {0,1}: no intra edge
         truth = Partition(np.array([1, 1, 2, 2]), 2)

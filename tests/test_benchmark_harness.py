@@ -7,11 +7,17 @@ when the benchmark runs.
 
 import dataclasses
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from tvclust.clustering import cluster
+from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import SolverConfig
 from tvclust.sweep import SweepConfig, run_sweep
 
@@ -56,3 +62,41 @@ def test_tracer_targets_resolve():
     assert unresolved == {
         "tvclust.clustering.solve", "tvclust.analysis.circulation_feasible",
     }
+
+
+def perfbench_checks():
+    """perfbench/checks.py as a module, imported from its file."""
+    path = ROOT / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "params, s, rng_seed",
+    [
+        # node 11 has 3 edges into each cluster: its scores are strictly
+        # between 0 and 1, where the optimal cuts disagree
+        (SbmParams((8, 5), 0.9, 0.06), 1, 3598535596647500966),
+        # K = 4 with exact ties between score rows on 10 nodes
+        (SbmParams((12, 12, 12, 12), 0.7, 0.02), 2, 16),
+    ],
+    ids=["tie_node_8_5", "k4_ties"],
+)
+def test_cluster_meets_benchmark_check(params, s, rng_seed):
+    # the benchmark's correctness check of cluster() outputs: argmax decode
+    # with ties to the smallest index, 0/1 scores on the seeds, reported TV
+    # equal to the TV of the scores and at least the exact min cut
+    checks = perfbench_checks()
+    instance = generate_instance(params, s, rng_seed)
+    result = cluster(instance.graph, instance.seeds.labels())
+    top = result.scores.max(axis=0)  # the draw reaches tied or fractional scores
+    assert ((result.scores == top).sum(axis=0) > 1).any() or (
+        (0 < result.scores) & (result.scores < 1)
+    ).any()
+    checks.check_clustering(
+        instance.graph.num_nodes, np.asarray(instance.graph.edges),
+        np.asarray(instance.truth.assignment), instance.seeds.per_cluster,
+        result.assignment, result.scores, [d.tv_final for d in result.diagnostics],
+    )

@@ -263,6 +263,18 @@ class TestInstance:
         with pytest.raises(SeedGroupError, match=message):
             SbmInstance(inst.graph, inst.truth, SeedSet(groups), inst.params, 0)
 
+    @pytest.mark.parametrize(
+        "sizes", [(9, 9), (5, 6, 7), (6, 6, 6, 6)], ids=["fewer", "other_sizes", "extra"]
+    )
+    def test_params_checked_against_truth(self, sizes):
+        # (9, 9) on a (6, 6, 6) instance used to make analyze_instance raise
+        # a bare IndexError; (5, 6, 7) gave each cluster another's condition
+        inst = generate_instance(SbmParams((6, 6, 6), 0.9, 0.1), s=2, rng_seed=0)
+        params = SbmParams(sizes, 0.9, 0.1)
+        message = r"partition's cluster sizes are \[6, 6, 6\]"
+        with pytest.raises(SbmParamsError, match=message):
+            SbmInstance(inst.graph, inst.truth, inst.seeds, params, 0)
+
     @pytest.mark.parametrize("rng_seed", [-1, 2.5, "7"])
     def test_bad_rng_seed_named(self, rng_seed):
         # -1 used to fail inside numpy with a bare ValueError

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -25,13 +27,32 @@ PATH2 = build_graph(2, [(0, 1)])
 CHECK_EVERY = 8  # the kernel's fixed check cadence
 
 
+def reference_level_sets(g, x, floor):
+    """The level-set stop by brute force on the clipped iterate x of a 0/1
+    target: the cut of {x > t} at every value t of x below the top, then the
+    optimal level sets averaged by threshold length, summed in ascending t
+    and rounded to the 2^-24 grid; None when no level set cuts <= floor."""
+    values = np.unique(x)
+    lengths = np.diff(values)
+    cuts = [int(((x > t)[g.heads] != (x > t)[g.tails]).sum()) for t in values[:-1]]
+    if min(cuts) > floor:
+        return None
+    below, acc = {values[0]: 0.0}, 0.0  # weight of the optimal sets below t
+    for next_t, length, cut in zip(values[1:], lengths, cuts):
+        acc += length if cut == min(cuts) else 0.0
+        below[next_t] = acc
+    signal = np.array([below[v] / acc for v in x])
+    return np.rint(signal * 2.0**24) / 2.0**24
+
+
 def reference_solve(g, seed_values, config):
     """One target at a time, every sweep from fresh arrays: the unbatched
-    loop with the certified stop.  Returns (x, iters, converged, tv, bound,
-    gap)."""
+    loop with the certified stops.  Returns (x, iters, converged, tv, bound,
+    gap, stop_reason)."""
     idx = np.array(sorted(seed_values))
     vals = np.array([seed_values[i] for i in idx], dtype=float)
     lo, hi, n = vals.min(), vals.max(), g.num_nodes
+    binary = set(vals) == {0.0, 1.0}
     gamma = np.ones(n)
     gamma[g.degrees > 0] = 1.0 / g.degrees[g.degrees > 0]
     x_prev, x, y = np.zeros(n), np.zeros(n), np.zeros(g.num_edges)
@@ -53,19 +74,41 @@ def reference_solve(g, seed_values, config):
             best, best_tv = clipped, tv
         best_bound = max(best_bound, terms.sum())
         gap = (best_tv - best_bound) / max(1.0, best_tv)
+        if binary:
+            floor = math.ceil(best_bound - 1e-9 * max(1.0, abs(best_bound)))
+            signal = reference_level_sets(g, clipped, floor)
+            if signal is not None:
+                tv = np.abs(signal[g.heads] - signal[g.tails]).sum()
+                return signal, r, True, tv, floor, 0.0, "level_set"
         if gap <= config.tol:
-            break
-    return best, r, gap <= config.tol, best_tv, best_bound, gap
+            return best, r, True, best_tv, best_bound, gap, "gap"
+    return best, r, False, best_tv, best_bound, gap, "budget"
 
 
 def assert_same_as_reference(x, diag, reference):
-    ref_x, ref_iters, ref_converged, ref_tv, ref_bound, ref_gap = reference
+    ref_x, ref_iters, ref_converged, ref_tv, ref_bound, ref_gap, ref_reason = reference
     assert_array_equal(x, ref_x)
     assert diag.iters == ref_iters
     assert diag.converged == ref_converged
     assert diag.tv_final == ref_tv
     assert diag.bound == ref_bound
     assert diag.gap == ref_gap
+    assert diag.stop_reason == ref_reason
+
+
+@functools.cache
+def reference_first_rep():
+    """(instance, cluster() result) for the 60 runs of the reference sweep's
+    first rep: sizes 50,50, p_out 0.025, p_in 0.025..0.5, S in {5, 10, 15},
+    master seed 1."""
+    runs = []
+    for grid_i in range(20):
+        p_in = round(0.025 * (grid_i + 1), 12)
+        for s_i, s in enumerate((5, 10, 15)):
+            seed = derive_instance_seed(1, grid_i, s_i, 0)
+            instance = generate_instance(SbmParams((50, 50), p_in, 0.025), s, seed)
+            runs.append((instance, cluster(instance.graph, instance.seeds.labels())))
+    return tuple(runs)
 
 
 def sweeps(g, seed_values, max_iters):
@@ -173,21 +216,25 @@ class TestIterate:
             assert_array_equal(x, [value, np.sign(value)])
 
     def test_seeds_clamped_every_sweep(self, bridge_graph):
-        # the reference clamps the labeled nodes after every sweep
-        seeds = {0: 1.0, 7: 0.0}
-        for max_iters in range(1, 21):
-            cfg = SolverConfig(max_iters=max_iters, tol=0)
-            reference = reference_solve(bridge_graph, seeds, cfg)
-            assert_same_as_reference(*solve(bridge_graph, seeds, cfg), reference)
+        # the reference clamps the labeled nodes after every sweep; the 0/1
+        # target stops on a level set at its first check, the 0.3/-1.7 one
+        # runs to the budget (tol 0), so its iterate is compared at every
+        # budget up to 20 sweeps
+        for seeds in ({0: 1.0, 7: 0.0}, {0: 0.3, 7: -1.7}):
+            for max_iters in range(1, 21):
+                cfg = SolverConfig(max_iters=max_iters, tol=0)
+                reference = reference_solve(bridge_graph, seeds, cfg)
+                assert_same_as_reference(*solve(bridge_graph, seeds, cfg), reference)
+        assert reference[-1] == "budget"
 
     def test_inputs_not_mutated(self, bridge_graph):
-        # row 0 certifies at the first check and leaves the batch; the
-        # caller's arrays stay
-        ids, values = np.array([0, 7]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        # row 0 certifies at the first check and leaves the batch, row 1
+        # certifies its gap at sweep 16; the caller's arrays stay
+        ids, values = np.array([0, 7]), np.array([[0.0, 0.0], [0.3, -1.7]])
         _, diagnostics = solve_batch(bridge_graph, ids, values, SolverConfig(100))
         assert diagnostics[0].iters < diagnostics[1].iters
         assert_array_equal(ids, [0, 7])
-        assert_array_equal(values, [[0.0, 0.0], [1.0, 0.0]])
+        assert_array_equal(values, [[0.0, 0.0], [0.3, -1.7]])
 
 
 class TestConfig:
@@ -247,9 +294,10 @@ class TestSolve:
         assert x_bar[0] == 0.3 and x_bar[7] == -1.7
 
     def test_max_iters_respected(self, bridge_graph):
-        _, diag = solve(bridge_graph, {0: 1.0, 7: 0.0}, SolverConfig(max_iters=7, tol=0))
+        # a 0/1 target would certify a level set at the check after sweep 7
+        _, diag = solve(bridge_graph, {0: 0.3, 7: -1.7}, SolverConfig(max_iters=7, tol=0))
         assert diag.iters == 7
-        assert not diag.converged
+        assert not diag.converged and diag.stop_reason == "budget"
 
     def test_converged_flag(self):
         g = build_graph(6, TRIANGLES)
@@ -311,7 +359,7 @@ class TestCertificate:
         rng = np.random.default_rng(16)
         outcomes = set()
         for trial in range(60):
-            config = SolverConfig(max_iters=(8, 24, 2000)[trial % 3])
+            config = SolverConfig(max_iters=(2, 8, 2000)[trial % 3])
             n = int(rng.integers(5, 25))
             g = random_graph(rng, n, float(rng.uniform(0.15, 0.6)))
             k_max = int(rng.integers(2, 5))
@@ -326,11 +374,16 @@ class TestCertificate:
                 assert opt <= diag.tv_final + slack
                 assert diag.tv_final == total_variation(g, result.scores[k - 1])
                 assert diag.converged == (diag.gap <= config.tol)
+                assert diag.converged == (diag.stop_reason != "budget")
                 if diag.converged:
                     excess = diag.tv_final - opt
                     assert excess <= config.tol * max(1.0, diag.tv_final) + slack
-                outcomes.add((config.max_iters, diag.converged))
-        assert {(8, False), (24, False), (24, True), (2000, True)} <= outcomes
+                if diag.stop_reason == "level_set":
+                    # the integer bound meets the optimum, with no rounding
+                    assert diag.tv_final == diag.bound == opt and diag.gap == 0
+                outcomes.add((config.max_iters, diag.stop_reason))
+        assert {(2, "budget"), (2, "level_set"), (8, "budget"), (8, "level_set"),
+                (2000, "level_set")} <= outcomes
 
     @pytest.mark.parametrize("budget", [8, 40, 2000])
     def test_non_binary_seed_values(self, budget):
@@ -360,22 +413,54 @@ class TestCertificate:
     def test_reference_protocol_sweep_budget(self):
         # the first rep of the reference sweep (sizes 50,50, p_out 0.025,
         # p_in 0.025..0.5, S in {5, 10, 15}, master seed 1): every solve
-        # certifies, and the sweep's iters column sums to at most 20,000
-        # (60,180 with the old burn-in and stall rule)
+        # certifies, and the sweep's iters column sums to at most 2,482, 3x
+        # below the 7,448 of the gap stop alone (60,180 with the old burn-in
+        # and stall rule); the level-set stop sums to 1,688
         total = 0
-        for grid_i in range(20):
-            p_in = round(0.025 * (grid_i + 1), 12)
-            for s_i, s in enumerate((5, 10, 15)):
-                seed = derive_instance_seed(1, grid_i, s_i, 0)
-                instance = generate_instance(SbmParams((50, 50), p_in, 0.025), s, seed)
-                result = cluster(instance.graph, instance.seeds.labels())
-                assert all(d.converged for d in result.diagnostics)
-                total += max(d.iters for d in result.diagnostics)
-        assert total <= 20_000
+        for _, result in reference_first_rep():
+            assert all(d.converged for d in result.diagnostics)
+            total += max(d.iters for d in result.diagnostics)
+        assert total <= 7448 // 3
+
+    def test_reference_protocol_solves_exact(self):
+        # each of the 120 indicator solves of the first rep stops on a level
+        # set whose TV is exactly the max-flow optimum, and keeps its 0/1
+        # targets on the seeds
+        for instance, result in reference_first_rep():
+            labels = instance.seeds.labels()
+            seed_ids = sorted(labels)
+            for k, diag in enumerate(result.diagnostics, start=1):
+                target = indicator_targets(labels, k)
+                opt = mincut_tv_oracle(instance.graph, target).optimal_tv
+                assert diag.stop_reason == "level_set"
+                assert diag.tv_final == opt
+                assert_array_equal(result.scores[k - 1, seed_ids],
+                                   [target[i] for i in seed_ids])
+
+    def test_non_binary_solve_keeps_gap_stop(self):
+        # values other than 0/1 have no integer optimum: the solve stops on
+        # the relative gap, with the signal and diagnostics the gap stop
+        # alone gave (pinned from the solver before the level-set stop)
+        g = build_graph(12, [
+            (0, 4), (0, 8), (0, 11), (1, 4), (1, 7), (1, 8), (2, 5), (2, 6),
+            (2, 11), (3, 5), (3, 10), (3, 11), (4, 6), (4, 7), (4, 8), (5, 8),
+            (5, 10), (6, 9), (7, 9), (7, 10), (7, 11), (9, 11), (10, 11),
+        ])
+        x, diag = solve(g, {0: 0.3, 5: -1.7, 11: 1.0})
+        assert_array_equal(x, [
+            0.3, 0.2999987790754029, 0.2999982324986161, 0.2999974936153708,
+            0.29999891288566777, -1.7, 0.29999842555854617, 0.29999836629949816,
+            0.2999991913997043, 0.2999983032638129, 0.29999776738174677, 1.0,
+        ])
+        assert (diag.iters, diag.converged, diag.stop_reason) == (984, True, "gap")
+        assert diag.tv_final == 12.200007939963294
+        assert diag.bound == 12.199995800243837
+        assert diag.gap == 9.95058324304226e-07
 
 
 class TestBatchedKernel:
-    """cluster() and solve() give bit for bit the unbatched reference."""
+    """cluster(), solve_batch() and solve() give bit for bit the unbatched
+    reference."""
 
     CONFIGS = {
         "default_budget": SolverConfig(max_iters=400),
@@ -398,16 +483,21 @@ class TestBatchedKernel:
                 ids = np.append(ids, 15)
             labels = {int(i): c % k_max + 1 for c, i in enumerate(ids)}
             result = cluster(g, labels, config)
-            for k in range(1, k_max + 1):
-                reference = reference_solve(g, indicator_targets(labels, k), config)
-                assert_same_as_reference(
-                    result.scores[k - 1], result.diagnostics[k - 1], reference
-                )
-            distinct_stops += len({d.iters for d in result.diagnostics}) > 1
-            budget_hits += sum(
-                d.iters == config.max_iters and not d.converged
-                for d in result.diagnostics
-            )
+            # the K indicator targets, which stop on a level set, and one
+            # 0.3/-1.7 target, which has no integer optimum and stops on the
+            # gap or the budget, as one batch
+            targets = [indicator_targets(labels, k) for k in range(1, k_max + 1)]
+            targets.append({i: 0.3 if v else -1.7 for i, v in targets[0].items()})
+            seed_ids = sorted(labels)
+            values = [[t[i] for i in seed_ids] for t in targets]
+            scores, diagnostics = solve_batch(g, seed_ids, values, config)
+            assert_array_equal(scores[:k_max], result.scores)
+            assert diagnostics[:k_max] == result.diagnostics
+            for row, diag, target in zip(scores, diagnostics, targets):
+                reference = reference_solve(g, target, config)
+                assert_same_as_reference(row, diag, reference)
+            distinct_stops += len({d.iters for d in diagnostics}) > 1
+            budget_hits += sum(d.stop_reason == "budget" for d in diagnostics)
         assert distinct_stops > 0
         if name == "max_iters_hit":
             assert budget_hits > 0

@@ -213,13 +213,16 @@ class TestCliCluster:
     def test_summary_reports_worst_gap(self, capsys):
         argv = ["cluster", "--sizes", "30,30", "--p-in", "0.3", "--p-out", "0.02",
                 "--num-seeds", "2", "--rng-seed", "5"]
-        gaps = []
+        gaps, reasons = [], []
         for budget in ("9", "2000"):
             assert main(argv + ["--max-iters", budget]) == 0
             fields = dict(f.split("=") for f in capsys.readouterr().out.split())
             gaps.append(float(fields["gap"]))
-        # 9 sweeps certify nothing; the default budget certifies every solve
+            reasons.append(fields["stop_reason"].split(","))
+        # 9 sweeps leave a solve uncertified; the default budget certifies
+        # every solve, each on an optimal level set
         assert gaps[0] > 1e-6 >= gaps[1]
+        assert "budget" in reasons[0] and reasons[1] == ["level_set"]
 
 
 class TestCliSweep:
