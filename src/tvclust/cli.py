@@ -20,6 +20,7 @@ from pathlib import Path
 
 from tvclust.analysis import analyze_instance, format_analysis_text, write_analysis_csv
 from tvclust.clustering import accuracy, cluster, write_result_csv
+from tvclust.graphs import read_key_values
 from tvclust.sbm import (
     SbmParams,
     generate_instance,
@@ -65,19 +66,6 @@ def _parse_probability_grid(text: str) -> tuple[float, ...]:
             k += 1
         return tuple(values)
     return tuple(float(x) for x in text.split(","))
-
-
-def _read_config_file(path) -> dict[str, str]:
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliUsageError(f"malformed config line {line!r} (need key=value)")
-        key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
 
 
 def _merged(args: argparse.Namespace, key: str, default=None):
@@ -126,11 +114,9 @@ def _resolve_sizes(args) -> tuple[int, ...]:
 
 
 def _solver_config(args) -> SolverConfig:
-    """SolverConfig from the solver options given; SolverConfig's defaults
-    fill the rest."""
-    given = {key: _value(args, key, convert)
-             for key, convert in (("max_iters", int), ("tol", float))}
-    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
+    """SolverConfig from --max-iters if given, else SolverConfig's default."""
+    max_iters = _value(args, "max_iters", int)
+    return SolverConfig() if max_iters is None else SolverConfig(max_iters)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -144,12 +130,6 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-out", dest="p_out", help="cross-cluster edge probability")
     p.add_argument("--num-seeds", dest="num_seeds", help="labeled nodes per cluster")
     p.add_argument("--rng-seed", dest="rng_seed", help="64-bit master seed")
-
-
-def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", dest="max_iters", help="solver sweep budget")
-    p.add_argument("--tol", help="relative duality gap (TV - bound) / max(1, TV) "
-                   "at which a solve stops")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_clu)
     p_clu.add_argument("--instance", help="instance directory to load")
     _add_model_options(p_clu)
-    _add_solver_options(p_clu)
+    p_clu.add_argument("--max-iters", dest="max_iters", help="solver sweep budget")
     p_clu.add_argument("--out", help="per-node result CSV path")
 
     p_swp = sub.add_parser("sweep", help="Monte Carlo accuracy sweep")
@@ -187,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of labeled-nodes-per-cluster values")
     p_swp.add_argument("--reps", help="repetitions per grid point")
     p_swp.add_argument("--rng-seed", dest="rng_seed", help="64-bit master seed")
-    _add_solver_options(p_swp)
+    p_swp.add_argument("--max-iters", dest="max_iters", help="solver sweep budget")
     p_swp.add_argument("--out", help="per-run sweep CSV path")
     p_swp.add_argument("--aggregate-out", dest="aggregate_out",
                        help="aggregate CSV path (default: <out> with _agg suffix)")
@@ -324,9 +304,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_values = (
-            _read_config_file(args.config) if getattr(args, "config", None) else {}
-        )
+        path = getattr(args, "config", None)
+        file_values = read_key_values(path, CliUsageError) if path else {}
+        args.config_values = {k.replace("-", "_"): v for k, v in file_values.items()}
         _check_config_keys(parser, args)
         return COMMANDS[args.command](args)
     except Exception as exc:  # named errors surface in the exit message

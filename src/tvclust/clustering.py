@@ -3,12 +3,13 @@
 For each cluster k the labeled nodes define a 0/1 indicator target (1 on
 seeds of cluster k, 0 on every other seed); the K TV-minimization solves
 run as one batch, and every node is assigned to the cluster whose score is
-largest.  A 0/1 target's solve normally stops on a level set that meets the
-integer bound (see :mod:`tvclust.solver`): its score row is then an exact
-optimum, the average of the iterate's optimal level sets, which is 0/1
-wherever the optimal cut is unique and in between on the nodes where
-optimal cuts disagree.  Exact ties go to the smallest cluster index, which
-keeps the decoding deterministic and independent of evaluation order.
+largest.  A target's solve stops on a level set that meets the integer
+bound (see :mod:`tvclust.solver`): its score row is then an exact optimum,
+the average of the iterate's optimal level sets, 0/1 wherever the optimal
+cut is unique and in between where optimal cuts disagree (a row out of
+sweeps is its last iterate, clipped).  Exact ties go to the smallest
+cluster index, which keeps the decoding deterministic and independent of
+evaluation order.
 """
 
 from __future__ import annotations

@@ -262,6 +262,24 @@ def _read_int_pairs(path, error: type[ValueError]) -> np.ndarray:
     return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def read_key_values(path, error: type[ValueError]) -> dict[str, str]:
+    """The `key=value` lines of a text file as a dict, split at the first
+    '=' and stripped; '#' comments and blank lines are skipped, and a later
+    key wins.  A line without '=' raises `error`, naming the file and the
+    line number."""
+    values = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            values[key.strip()] = value.strip()
+    return values
+
+
 def read_edge_list(path, num_nodes: int | None = None) -> Graph:
     """Read a graph from a text file: one `i j` pair per line (0-based ids).
 

@@ -30,6 +30,7 @@ from tvclust.graphs import (
     checked_int_array,
     contiguous_partition,
     read_edge_list,
+    read_key_values,
     read_partition,
     write_edge_list,
     write_partition,
@@ -66,7 +67,7 @@ class InstanceFormatError(ValueError):
 
 class SeedGroupError(ValueError):
     """A seed set that does not hold one nonempty group of its own nodes per
-    cluster."""
+    cluster, each node once."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,10 @@ class SbmInstance:
         if stray.size:
             i = stray[0]
             raise SeedGroupError(f"seed {nodes[i]} is not a node of cluster {home[i]}")
+        unique, counts = np.unique(nodes, return_counts=True)
+        if (counts > 1).any():
+            repeated = unique[counts > 1][0]
+            raise SeedGroupError(f"seed {repeated} is listed more than once")
 
 
 def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
@@ -288,15 +293,7 @@ def read_instance(in_dir) -> SbmInstance:
     header_path = src / HEADER_FILE
     if not header_path.exists():
         raise InstanceFormatError(f"missing {header_path}")
-    fields = {}
-    for line in header_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InstanceFormatError(f"malformed header line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+    fields = read_key_values(header_path, InstanceFormatError)
     try:
         n = int(fields["n"])
         sizes = tuple(int(x) for x in fields["sizes"].split(","))

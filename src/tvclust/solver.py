@@ -3,8 +3,18 @@
 Finds a signal of minimum total variation among all signals that take
 prescribed values on a labeled node set M.  :func:`solve_batch` runs K such
 problems on one graph and labeled set (row k of a (K, S) matrix holds
-problem k's values); a group of rows shares one set of in-place arrays.
-One sweep computes, row by row,
+problem k's values).
+
+A row with distinct labeled values a_0 < ... < a_m is split into the m 0/1
+targets [value >= a_j].  If u_j is an optimum of target j, of TV C_j, then
+
+    x = sum_{j=0..m} a_j (u_j - u_{j+1}),    u_0 = 1, u_{m+1} = 0,
+
+is a_i on a node labeled a_i, exactly (one term is a_i, the others 0), and
+TV(x) <= sum_j (a_j - a_{j-1}) C_j, which by the coarea formula is the
+optimum of the row.  A row with one value is that constant, with no sweep.
+The targets of all rows run as one batch, in groups that share one set of
+in-place arrays.  One sweep computes, row by row,
 
     x~_i  = 2 x_i - x_i^prev                      (extrapolation)
     y_e  += (1/2) (x~_head - x~_tail), then clip y_e to [-1, 1]
@@ -18,33 +28,27 @@ tails; bincount adds in input order, so each row is summed exactly as in
 a one-row solve and its result depends neither on K nor on its group.
 
 The stop is certified.  For |y_e| <= 1, TV(x) >= sum_i r_i x_i for every
-x.  Clipping a signal to the range [a, b] of its row's labeled values never
-raises its TV and keeps the labeled values, so some optimum lies in
-[a, b]^N and, by weak duality (Jung, IEEE SPL 2020, gives the flow form),
+x.  Clipping a signal to [0, 1] never raises its TV and keeps the 0/1
+labels, so by weak duality (Jung, IEEE SPL 2020, gives the flow form)
 
-    OPT >= sum_{i in M} v_i r_i + sum_{i not in M} min(a r_i, b r_i).
+    OPT >= sum_{i in M} v_i r_i + sum_{i not in M} min(r_i, 0),
 
-Every ``_CHECK_EVERY`` sweeps and after the last, each row keeps its
-clipped iterate of least TV and its greatest bound.  It stops once the
-relative gap (TV - bound) / max(1, TV) is at most ``tol`` and leaves the
-batch with its own sweep count; a row that never certifies returns its
-best checked signal after ``max_iters`` sweeps, unconverged.
-
-A row whose labeled values are 0 and 1 (both present) stops sooner, and
-exactly.  The edges have unit weight, so its optimum OPT is an integer
-cut and OPT >= ceil(bound); by the coarea formula TV(x) is the average over
-t in [0, 1) of the cuts of the level sets {x > t} of the clipped iterate,
-so some level set cuts at most TV(x) (the thresholding theorem of Chan,
-Esedoglu and Nikolova, 2006).  At each check the row ranks its nodes by
-value once and reads the cut of every level set off one cumulative sum
-over the edges' ranks; once the least of them is at most ceil(bound), the
-level sets that reach it are optimal.  The row returns their average,
-weighted by threshold length and rounded to a 2^-24 grid: a convex
-combination of optima (its TV is OPT, exactly), 0/1 wherever the optimum is
-unique, and a monotone remap of the iterate, so the solver's ordering of
-the nodes on the optimal face stays.  It reports bound = ceil(bound) and
-gap = 0.  ``SolveDiagnostics.stop_reason`` says which stop ended a row:
-"level_set", "gap" or "budget" (max_iters without a certificate).
+and OPT, an integer cut of unit-weight edges, is >= ceil(bound) of the
+greatest bound seen.  By the coarea formula some level set {x > t} of the
+clipped iterate cuts at most TV(x) (the thresholding theorem of Chan,
+Esedoglu and Nikolova, 2006).  Every ``_CHECK_EVERY`` sweeps and after the
+last, each target ranks its nodes by value once and reads the cut of every
+level set off one cumulative sum over the edges' ranks; once the least of
+them is at most ceil(bound), the level sets that reach it are optimal and
+the target leaves the batch.  Its signal is their average, weighted by
+threshold length and rounded to a 2^-24 grid: a convex combination of
+optima (its TV is OPT, exactly), 0/1 wherever the optimum is unique, and a
+monotone remap of the iterate, so the solver's ordering of the nodes on
+the optimal face stays.  A target that never certifies gives its last
+checked iterate, clipped, after ``max_iters`` sweeps.  A row's
+``stop_reason`` is "level_set" when all its targets certified, else
+"budget"; its ``iters`` is the most sweeps of its targets and its
+``bound`` is sum_j (a_j - a_{j-1}) times target j's bound.
 
 :func:`solve` is the one-problem case.  Isolated nodes have no messages;
 they keep gamma_i = 1 and hold their initial value (0 or the seed value).
@@ -52,13 +56,11 @@ they keep gamma_i = 1 and hold their initial value (0 or the seed value).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.graphs import Graph, checked_int, checked_int_array
+from tvclust.graphs import Graph, checked_int, checked_int_array, total_variation
 
 _CHECK_EVERY = 8  # sweeps between two certificate checks of a row
 # rows x edges swept together: past it batching saves no dispatch cost, and
@@ -71,22 +73,17 @@ class SeedValuesError(ValueError):
 
 
 class SolverConfigError(ValueError):
-    """A sweep budget that is not an integer >= 1, or a tolerance that is not
-    a finite number >= 0."""
+    """A sweep budget that is not an integer >= 1."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 2000
-    tol: float = 1e-6  # relative duality gap (TV - bound) / max(1, TV) to stop at
 
     def __post_init__(self):
         max_iters = checked_int(self.max_iters, SolverConfigError, "max_iters")
         if max_iters < 1:
             raise SolverConfigError(f"max_iters must be >= 1, got {max_iters}")
-        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol)
-                and self.tol >= 0):
-            raise SolverConfigError(f"tol must be finite and >= 0, got {self.tol!r}")
         object.__setattr__(self, "max_iters", max_iters)
 
 
@@ -94,10 +91,10 @@ class SolverConfig:
 class SolveDiagnostics:
     iters: int
     tv_final: float  # TV of the returned signal
-    converged: bool  # gap <= tol
+    converged: bool  # stop_reason == "level_set": the signal is an optimum
     bound: float  # certified lower bound on the optimal TV
     gap: float  # (tv_final - bound) / max(1, tv_final)
-    stop_reason: str  # "level_set", "gap" or "budget"
+    stop_reason: str  # "level_set" or "budget"
 
     def as_text(self) -> str:
         return (f"iters={self.iters} tv_final={self.tv_final!r} bound={self.bound!r} "
@@ -176,25 +173,15 @@ class _Sweeper:
         x_prev.reshape(-1)[self.seeds] = seed_values.reshape(-1)
         return divergence
 
-    def tv(self, x) -> np.ndarray:
-        """The TV of each row of the (k, N) signal x."""
-        flat = x.reshape(-1)
-        diff = flat.take(self.heads, out=self.diff, mode="clip")
-        diff -= flat.take(self.tails, out=self.at_tails, mode="clip")
-        return np.abs(diff, out=diff).reshape(len(x), -1).sum(axis=1)
-
     def certify(self, x, divergence, seed_values):
-        """The (k, N) iterate x clipped to each row's seed-value range [lo,
-        hi] (a view of a work buffer), its TV per row, and the weak-duality
-        bound per row of the messages whose divergence is given."""
-        lo = seed_values.min(axis=1, keepdims=True)
-        hi = seed_values.max(axis=1, keepdims=True)
-        clipped = np.clip(x, lo, hi, out=self.x_tilde)
-        tv = self.tv(clipped)
-        terms = np.minimum(divergence * lo, divergence * hi)
+        """The (k, N) iterate x clipped to [0, 1] (a view of a work buffer)
+        and the weak-duality bound per row of the messages whose divergence
+        is given."""
+        clipped = np.clip(x, 0.0, 1.0, out=self.x_tilde)
+        terms = np.minimum(divergence, 0.0)
         at_seeds = divergence.reshape(-1)[self.seeds] * seed_values.reshape(-1)
         terms.reshape(-1)[self.seeds] = at_seeds
-        return clipped, tv, terms.sum(axis=1)
+        return clipped, terms.sum(axis=1)
 
     def level_sets(self, clipped, floor):
         """Which rows of the clipped (k, N) iterate have a level set {x > t},
@@ -253,79 +240,94 @@ def solve_batch(
 
     seed_ids holds the S labeled node ids in ascending order and the
     (K, S) seed_values their values per problem.  Returns the (K, N)
-    matrix whose row k is problem k's checked iterate of least TV, clipped
-    to the range of its labeled values (for a 0/1 row stopped on a level
-    set, the average of its optimal level sets), and one diagnostics entry
-    per row.
-    Non-convergence within max_iters is not an error (the problem always
-    has a solution); it is reported through the `converged` flag.  Rows
-    are swept in groups of max(1, _ROW_EDGES // E).
+    matrix whose row k is problem k's signal, put together from the
+    signals of its 0/1 threshold targets, and one diagnostics entry per
+    row.  Non-convergence within max_iters is not an error (the problem
+    always has a solution); it is reported through the `converged` flag.
+    The targets of all rows are swept in groups of max(1, _ROW_EDGES // E).
     """
     seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
-    scores, diagnostics = np.empty((len(seed_values), g.num_nodes)), []
+    levels = [np.unique(v) for v in seed_values]  # a_0 < ... < a_m per row
+    # row k's targets [value >= a_j], j = 1..m, one after another
+    targets = np.concatenate([v >= a[1:, None] for v, a in zip(seed_values, levels)])
+    owner = np.repeat(np.arange(len(levels)), [a.size - 1 for a in levels])
+    step = np.concatenate([np.arange(1, a.size) for a in levels])
+    iters, bound, certified = (np.empty(len(targets), t) for t in (int, float, bool))
+    scores = np.repeat([[a[0]] for a in levels], g.num_nodes, axis=1)
     group = max(1, _ROW_EDGES // max(1, g.num_edges))
-    for i in range(0, len(scores), group):
+    for i in range(0, len(targets), group):
         part = slice(i, i + group)
-        diagnostics += _solve_rows(g, seed_ids, seed_values[part], config, scores[part])
+        u = np.empty((len(targets[part]), g.num_nodes))
+        iters[part], bound[part], certified[part] = _solve_rows(
+            g, seed_ids, targets[part], config.max_iters, u
+        )
+        # x = sum_j a_j (u_j - u_{j+1}), added up in ascending j; a group
+        # keeps only its own targets' signals, so `above` carries u_{j-1}
+        for k, j, u_j in zip(owner[part], step[part], u):
+            if j == 1:
+                scores[k], above = 0.0, 1.0
+            a = levels[k]
+            scores[k] += a[j - 1] * (above - u_j)
+            if j == a.size - 1:
+                scores[k] += a[j] * u_j
+            above = u_j
+    diagnostics = []
+    for k, a in enumerate(levels):
+        mine = owner == k
+        tv = total_variation(g, scores[k])
+        lower = float((np.diff(a) * bound[mine]).sum())
+        done = bool(certified[mine].all())
+        diagnostics.append(SolveDiagnostics(
+            int(iters[mine].max(initial=0)), tv, done, lower,
+            (tv - lower) / max(1.0, tv), "level_set" if done else "budget",
+        ))
     return scores, tuple(diagnostics)
 
 
-def _solve_rows(g, seed_ids, seed_values, config, scores) -> list[SolveDiagnostics]:
-    """solve_batch on one group of rows, writing their signals to scores."""
-    k, n = seed_values.shape[0], g.num_nodes
+def _solve_rows(g, seed_ids, targets, max_iters, signals):
+    """Sweep the (k, S) boolean targets until each certifies a level set or
+    the budget runs out, writing their signals to the (k, N) `signals`.
+    Returns per target its sweep count, its bound (the rounded-up one if
+    it certified) and whether it certified."""
+    k, n = targets.shape[0], g.num_nodes
     sweeper = _Sweeper(g, seed_ids, k)
     x_prev, x_cur = np.zeros((k, n)), np.zeros((k, n))
     y = np.zeros((k, g.num_edges))
-    values = seed_values.copy()
-    rows = np.arange(k)  # the problem each active row solves
-    tv, bound, gap = np.full(k, np.inf), np.full(k, -np.inf), np.empty(k)
-    iters = np.full(k, config.max_iters)
-    reason = np.full(k, "budget", dtype=object)
-    zero, one = values == 0.0, values == 1.0
-    binary = (zero | one).all(axis=1) & zero.any(axis=1) & one.any(axis=1)
-    for r in range(1, config.max_iters + 1):
+    values = targets.astype(np.float64)
+    rows = np.arange(k)  # the target each active row solves
+    bound, iters = np.full(k, -np.inf), np.full(k, max_iters)
+    certified = np.zeros(k, dtype=bool)
+    for r in range(1, max_iters + 1):
         divergence = sweeper.sweep(x_prev, x_cur, y, values)
         x_prev, x_cur = x_cur, x_prev
-        if r % _CHECK_EVERY and r < config.max_iters:
+        if r % _CHECK_EVERY and r < max_iters:
             continue
-        clipped, tv_now, bound_now = sweeper.certify(x_cur, divergence, values)
-        better = tv_now < tv[rows]
-        scores[rows[better]] = clipped[better]
-        tv[rows[better]] = tv_now[better]
+        clipped, bound_now = sweeper.certify(x_cur, divergence, values)
         bound[rows] = np.maximum(bound[rows], bound_now)
-        gap[rows] = (tv[rows] - bound[rows]) / np.maximum(1.0, tv[rows])
-        stop = gap[rows] <= config.tol
-        reason[rows[stop]] = "gap"
-        if binary.any():
-            # OPT of a 0/1 row is an integer: a level set that reaches the
-            # rounded-up bound is an optimum
-            floor = np.ceil(bound[rows] - 1e-9 * np.maximum(1.0, np.abs(bound[rows])))
-            exact, signal = sweeper.level_sets(clipped, np.where(binary, floor, -np.inf))
-            if signal is not None:
-                done = rows[exact]
-                scores[done] = signal[exact]
-                tv[done] = sweeper.tv(signal)[exact]
-                bound[done], gap[done], reason[done] = floor[exact], 0.0, "level_set"
-                stop |= exact
-        if not stop.any():
+        if r == max_iters:
+            signals[rows] = clipped
+        # OPT is an integer: a level set that reaches the rounded-up bound
+        # is an optimum
+        floor = np.ceil(bound[rows] - 1e-9 * np.maximum(1.0, np.abs(bound[rows])))
+        exact, signal = sweeper.level_sets(clipped, floor)
+        if signal is None:
             continue
-        iters[rows[stop]] = r
-        x_prev, x_cur, y, values, binary, rows = (
-            _compact(a, ~stop) for a in (x_prev, x_cur, y, values, binary, rows)
+        done = rows[exact]
+        signals[done] = signal[exact]
+        bound[done], iters[done], certified[done] = floor[exact], r, True
+        x_prev, x_cur, y, values, rows = (
+            _compact(a, ~exact) for a in (x_prev, x_cur, y, values, rows)
         )
         sweeper.keep_rows(rows.size)
         if rows.size == 0:
             break
-    return [
-        SolveDiagnostics(int(i), float(t), bool(e <= config.tol), float(b), float(e), s)
-        for i, t, b, e, s in zip(iters, tv, bound, gap, reason)
-    ]
+    return iters, bound, certified
 
 
 def solve(
     g: Graph, seed_values: dict, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Run sweeps until a level set or the duality gap is certified, or
+    """Run sweeps until every threshold target certifies a level set, or
     max_iters is reached.
 
     The one-problem case of :func:`solve_batch`: returns (x, diagnostics)

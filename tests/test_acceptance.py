@@ -121,9 +121,7 @@ def test_criterion_2_solver_optimality():
             i: 1.0 if c == 1 else 0.0 for i, c in instance.seeds.labels().items()
         }
         oracle = mincut_tv_oracle(instance.graph, seeds)
-        x_bar, diag = solve(
-            instance.graph, seeds, SolverConfig(max_iters=5000, tol=1e-12)
-        )
+        x_bar, diag = solve(instance.graph, seeds, SolverConfig(max_iters=5000))
         gap = diag.tv_final - oracle.optimal_tv
         worst_gap = max(worst_gap, abs(gap))
         assert abs(gap) <= 1e-3

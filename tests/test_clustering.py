@@ -46,8 +46,13 @@ class TestCluster:
         assert_array_equal(result.assignment, [1, 1, 1, 1, 2, 2, 2, 2])
 
     def test_single_cluster_degenerate(self, bridge_graph):
+        # the one target is 1 on every seed: the constant 1, with no sweep
         result = cluster(bridge_graph, {0: 1, 5: 1})
         assert_array_equal(result.assignment, np.ones(8))
+        assert_array_equal(result.scores, np.ones((1, 8)))
+        diag = result.diagnostics[0]
+        assert (diag.iters, diag.tv_final, diag.bound, diag.gap) == (0, 0.0, 0.0, 0.0)
+        assert diag.converged and diag.stop_reason == "level_set"
 
     def test_missing_cluster_rejected(self, bridge_graph):
         with pytest.raises(SeedLabelError, match="cluster 2 of 1..3 has no labeled"):

@@ -252,9 +252,10 @@ class TestInstance:
          (((0,), (1,)), "seed 1 is not a node of cluster 2"),
          (((0,), (12,)), "seed 12 is not a node of cluster 2"),
          (((-1,), (6,)), "seed -1 is not a node of cluster 1"),
-         (((0.5,), (6,)), "seed ids must be integers")],
+         (((0.5,), (6,)), "seed ids must be integers"),
+         (((0, 0), (7, 9)), "seed 0 is listed more than once")],
         ids=["fewer", "extra", "empty", "wrong_cluster", "past_last", "negative",
-             "fraction"],
+             "fraction", "repeated"],
     )
     def test_seed_groups_checked(self, groups, message):
         # fewer or empty groups used to make analyze_instance raise a bare
@@ -342,6 +343,17 @@ class TestInstance:
         text = header.read_text().replace(f"seeds={one},{two}", f"seeds={one},{bad_id}")
         header.write_text(text)
         with pytest.raises(InstanceFormatError, match="outside"):
+            read_instance(tmp_path)
+
+    def test_repeated_seed_id_rejected(self, tmp_path):
+        # seeds=0,0,7,9 used to read back as ((0, 0), (7, 9)), and
+        # analyze_instance then reported seed 0 twice
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=2, rng_seed=5)
+        write_instance(inst, tmp_path)
+        header = tmp_path / "header.txt"
+        seeds = ",".join(map(str, inst.seeds.all_nodes))
+        header.write_text(header.read_text().replace(f"seeds={seeds}", "seeds=0,0,7,9"))
+        with pytest.raises(SeedGroupError, match="seed 0 is listed more than once"):
             read_instance(tmp_path)
 
     def test_zero_seeds_per_cluster_rejected(self, tmp_path):

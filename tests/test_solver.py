@@ -45,44 +45,57 @@ def reference_level_sets(g, x, floor):
     return np.rint(signal * 2.0**24) / 2.0**24
 
 
-def reference_solve(g, seed_values, config):
-    """One target at a time, every sweep from fresh arrays: the unbatched
-    loop with the certified stops.  Returns (x, iters, converged, tv, bound,
-    gap, stop_reason)."""
+def reference_target(g, seed_values, max_iters):
+    """One 0/1 target, every sweep from fresh arrays: the unbatched loop
+    with the level-set stop.  Returns (signal, iters, bound, certified)."""
     idx = np.array(sorted(seed_values))
     vals = np.array([seed_values[i] for i in idx], dtype=float)
-    lo, hi, n = vals.min(), vals.max(), g.num_nodes
-    binary = set(vals) == {0.0, 1.0}
+    n = g.num_nodes
     gamma = np.ones(n)
     gamma[g.degrees > 0] = 1.0 / g.degrees[g.degrees > 0]
     x_prev, x, y = np.zeros(n), np.zeros(n), np.zeros(g.num_edges)
-    best, best_tv, best_bound = None, np.inf, -np.inf
-    for r in range(1, config.max_iters + 1):
+    best_bound = -np.inf
+    for r in range(1, max_iters + 1):
         x_tilde = 2.0 * x - x_prev
         y = np.clip(y + 0.5 * (x_tilde[g.heads] - x_tilde[g.tails]), -1.0, 1.0)
         divergence = np.bincount(g.heads, weights=y, minlength=n)
         divergence -= np.bincount(g.tails, weights=y, minlength=n)
         x_prev, x = x, x - gamma * divergence
         x[idx] = vals
-        if r % CHECK_EVERY and r < config.max_iters:
+        if r % CHECK_EVERY and r < max_iters:
             continue
-        clipped = np.clip(x, lo, hi)
-        tv = np.abs(clipped[g.heads] - clipped[g.tails]).sum()
-        terms = np.minimum(lo * divergence, hi * divergence)
+        clipped = np.clip(x, 0.0, 1.0)
+        terms = np.minimum(divergence, 0.0)
         terms[idx] = vals * divergence[idx]
-        if tv < best_tv:
-            best, best_tv = clipped, tv
         best_bound = max(best_bound, terms.sum())
-        gap = (best_tv - best_bound) / max(1.0, best_tv)
-        if binary:
-            floor = math.ceil(best_bound - 1e-9 * max(1.0, abs(best_bound)))
-            signal = reference_level_sets(g, clipped, floor)
-            if signal is not None:
-                tv = np.abs(signal[g.heads] - signal[g.tails]).sum()
-                return signal, r, True, tv, floor, 0.0, "level_set"
-        if gap <= config.tol:
-            return best, r, True, best_tv, best_bound, gap, "gap"
-    return best, r, False, best_tv, best_bound, gap, "budget"
+        floor = math.ceil(best_bound - 1e-9 * max(1.0, abs(best_bound)))
+        signal = reference_level_sets(g, clipped, floor)
+        if signal is not None:
+            return signal, r, float(floor), True
+    return clipped, r, best_bound, False
+
+
+def reference_solve(g, seed_values, config):
+    """The threshold split by hand: each target [value >= a_j] of the
+    distinct values a_0 < ... < a_m solved by reference_target, then x =
+    sum_j a_j (u_j - u_{j+1}) with u_0 = 1, u_{m+1} = 0, added in ascending
+    j.  Returns (x, iters, converged, tv, bound, gap, stop_reason)."""
+    levels = np.unique(list(seed_values.values()))
+    runs = [
+        reference_target(g, {i: float(v >= a) for i, v in seed_values.items()},
+                         config.max_iters)
+        for a in levels[1:]
+    ]
+    u = [np.ones(g.num_nodes), *(run[0] for run in runs), np.zeros(g.num_nodes)]
+    x = np.zeros(g.num_nodes)
+    for j, a in enumerate(levels):
+        x += a * (u[j] - u[j + 1])
+    tv = np.abs(x[g.heads] - x[g.tails]).sum()
+    bound = (np.diff(levels) * np.array([run[2] for run in runs])).sum()
+    converged = all(run[3] for run in runs)
+    iters = max((run[1] for run in runs), default=0)
+    gap = (tv - bound) / max(1.0, tv)
+    return x, iters, converged, tv, bound, gap, "level_set" if converged else "budget"
 
 
 def assert_same_as_reference(x, diag, reference):
@@ -112,9 +125,9 @@ def reference_first_rep():
 
 
 def sweeps(g, seed_values, max_iters):
-    """Output of a solve of max_iters <= CHECK_EVERY sweeps: the last
-    iterate, clipped to the range of the seed values."""
-    return solve(g, seed_values, SolverConfig(max_iters=max_iters, tol=0))[0]
+    """Output of a 0/1 solve of max_iters < CHECK_EVERY sweeps that does not
+    certify at its one check: the last iterate, clipped to [0, 1]."""
+    return solve(g, seed_values, SolverConfig(max_iters=max_iters))[0]
 
 
 def raw_iterate(g, seed_values, count):
@@ -196,12 +209,11 @@ class TestIterate:
 
     def test_first_sweep(self):
         assert_array_equal(raw_iterate(PATH2, {0: 1.0}, 1), [1.0, 0.0])
-        # one seed value: the clip to [1, 1] gives the constant optimum,
-        # and its certificate (TV 0, bound 0) holds after the one sweep
-        x, diag = solve(PATH2, {0: 1.0}, SolverConfig(max_iters=1, tol=0))
+        # one seed value: the constant optimum, with no sweep
+        x, diag = solve(PATH2, {0: 1.0}, SolverConfig(max_iters=1))
         assert_array_equal(x, [1.0, 1.0])
-        assert (diag.iters, diag.tv_final, diag.bound, diag.gap) == (1, 0, 0, 0)
-        assert diag.converged
+        assert (diag.iters, diag.tv_final, diag.bound, diag.gap) == (0, 0, 0, 0)
+        assert diag.converged and diag.stop_reason == "level_set"
 
     def test_second_sweep(self):
         # extrapolation (2, 0); dual 0 + (1/2)*2 = 1, clipped stays 1;
@@ -216,20 +228,22 @@ class TestIterate:
             assert_array_equal(x, [value, np.sign(value)])
 
     def test_seeds_clamped_every_sweep(self, bridge_graph):
-        # the reference clamps the labeled nodes after every sweep; the 0/1
-        # target stops on a level set at its first check, the 0.3/-1.7 one
-        # runs to the budget (tol 0), so its iterate is compared at every
-        # budget up to 20 sweeps
-        for seeds in ({0: 1.0, 7: 0.0}, {0: 0.3, 7: -1.7}):
+        # the reference clamps the labeled nodes after every sweep; a budget
+        # whose one check certifies no level set returns the clipped last
+        # iterate (here budgets 1-5 for the two-valued targets, 1-4 and 6-8
+        # for the three-valued one)
+        reasons = set()
+        for seeds in ({0: 1.0, 7: 0.0}, {0: 0.3, 7: -1.7}, {0: 0.3, 3: 1.0, 7: -1.7}):
             for max_iters in range(1, 21):
-                cfg = SolverConfig(max_iters=max_iters, tol=0)
+                cfg = SolverConfig(max_iters=max_iters)
                 reference = reference_solve(bridge_graph, seeds, cfg)
                 assert_same_as_reference(*solve(bridge_graph, seeds, cfg), reference)
-        assert reference[-1] == "budget"
+                reasons.add(reference[-1])
+        assert reasons == {"budget", "level_set"}
 
     def test_inputs_not_mutated(self, bridge_graph):
-        # row 0 certifies at the first check and leaves the batch, row 1
-        # certifies its gap at sweep 16; the caller's arrays stay
+        # row 0 has one value and takes no sweep, row 1 certifies at sweep
+        # 8; the caller's arrays stay
         ids, values = np.array([0, 7]), np.array([[0.0, 0.0], [0.3, -1.7]])
         _, diagnostics = solve_batch(bridge_graph, ids, values, SolverConfig(100))
         assert diagnostics[0].iters < diagnostics[1].iters
@@ -238,10 +252,12 @@ class TestIterate:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6, 1e-6])
     def test_bad_tol_rejected(self, tol):
-        with pytest.raises(ValueError):
+        # the sweep budget is the one setting: every tolerance is refused
+        with pytest.raises(TypeError, match="tol"):
             SolverConfig(tol=tol)
+
 
     def test_bad_max_iters_rejected(self):
         with pytest.raises(ValueError):
@@ -249,8 +265,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_iters", 10.5), ("max_iters", "10"), ("max_iters", None),
-         ("tol", "1e-6"), ("tol", None)],
+        [("max_iters", 10.5), ("max_iters", "10"), ("max_iters", None)],
     )
     def test_non_number_settings_named(self, field, value):
         # each used to raise a bare TypeError
@@ -263,9 +278,9 @@ class TestConfig:
         assert config == SolverConfig(max_iters=10) and type(config.max_iters) is int
         assert solve(PATH2, {0: 1.0}, config)[1].iters <= 10
 
-    def test_two_fields(self):
+    def test_one_field(self):
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert fields == ["max_iters", "tol"]
+        assert fields == ["max_iters"]
 
 
 class TestSolve:
@@ -277,7 +292,7 @@ class TestSolve:
         assert diag.tv_final < 1e-3
 
     def test_bridge_graph_block_indicator(self, bridge_graph):
-        x_bar, diag = solve(bridge_graph, {0: 1.0, 7: 0.0}, SolverConfig(5000, 1e-9))
+        x_bar, diag = solve(bridge_graph, {0: 1.0, 7: 0.0}, SolverConfig(5000))
         indicator = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float)
         assert_allclose(x_bar, indicator, atol=0.01)
         assert abs(diag.tv_final - 1.0) < 1e-3
@@ -285,23 +300,24 @@ class TestSolve:
 
     def test_single_seed_goes_constant(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        x_bar, diag = solve(g, {0: 1.0}, SolverConfig(max_iters=4000, tol=1e-10))
-        assert_allclose(x_bar, np.ones(4), atol=0.01)
-        assert diag.tv_final < 0.05
+        x_bar, diag = solve(g, {0: 1.0}, SolverConfig(max_iters=4000))
+        assert_array_equal(x_bar, np.ones(4))
+        assert diag.tv_final == 0.0 and diag.iters == 0
 
     def test_constraint_residual_zero(self, bridge_graph):
         x_bar, _ = solve(bridge_graph, {0: 0.3, 7: -1.7}, SolverConfig(max_iters=137))
         assert x_bar[0] == 0.3 and x_bar[7] == -1.7
 
     def test_max_iters_respected(self, bridge_graph):
-        # a 0/1 target would certify a level set at the check after sweep 7
-        _, diag = solve(bridge_graph, {0: 0.3, 7: -1.7}, SolverConfig(max_iters=7, tol=0))
-        assert diag.iters == 7
+        # its target {0: 1, 7: 0} would certify a level set at a check after
+        # sweep 6
+        _, diag = solve(bridge_graph, {0: 0.3, 7: -1.7}, SolverConfig(max_iters=5))
+        assert diag.iters == 5
         assert not diag.converged and diag.stop_reason == "budget"
 
     def test_converged_flag(self):
         g = build_graph(6, TRIANGLES)
-        _, diag = solve(g, {0: 1.0, 3: 0.0}, SolverConfig(max_iters=5000, tol=1e-8))
+        _, diag = solve(g, {0: 1.0, 3: 0.0}, SolverConfig(max_iters=5000))
         assert diag.converged
         assert diag.iters < 5000
 
@@ -309,22 +325,24 @@ class TestSolve:
         g = build_graph(6, TRIANGLES)
         x_bar, diag = solve(g, {0: 0.0, 3: 0.0}, SolverConfig(max_iters=100))
         assert_array_equal(x_bar, np.zeros(6))
-        assert diag.converged
+        assert diag.converged and diag.iters == 0
 
     def test_clipped_last_iterate(self, bridge_graph):
-        # here every check lowers the TV, so the output is the iterate of
-        # the last check clipped to the seed range [-1.7, 0.3], and its
-        # certificate is about that signal; it certifies at sweep 16
+        # the 0.3/-1.7 target is the 0/1 target {0: 1, 7: 0}, which
+        # certifies at a check after sweep 6; a smaller budget returns its
+        # last iterate, clipped to [0, 1] and mapped onto [-1.7, 0.3]
         seeds = {0: 0.3, 7: -1.7}
-        for max_iters in (5, 7, 12, 2000):
-            x, diag = solve(bridge_graph, seeds, SolverConfig(max_iters, tol=1e-6))
-            assert diag.iters == min(max_iters, 16)
-            last = raw_iterate(bridge_graph, seeds, diag.iters)
-            assert_array_equal(x, np.clip(last, -1.7, 0.3))
+        for max_iters in (3, 5, 12, 2000):
+            x, diag = solve(bridge_graph, seeds, SolverConfig(max_iters))
+            assert diag.iters == min(max_iters, 8)
+            assert diag.converged == (diag.gap == 0) == (max_iters >= 8)
+            if not diag.converged:
+                last = raw_iterate(bridge_graph, {0: 1.0, 7: 0.0}, max_iters)
+                last = np.clip(last, 0.0, 1.0)
+                assert_array_equal(x, -1.7 * (1.0 - last) + 0.3 * last)
             assert diag.tv_final == total_variation(bridge_graph, x)
             tv, bound = diag.tv_final, diag.bound
             assert diag.gap == (tv - bound) / max(1.0, tv)
-            assert diag.converged == (diag.gap <= 1e-6) == (max_iters >= 16)
 
     def test_scale_equivariance_of_constraints(self, bridge_graph):
         cfg = SolverConfig(max_iters=2000)
@@ -339,7 +357,7 @@ class TestSolve:
         rng = np.random.default_rng(8)
         for _ in range(10):
             g = random_connected_graph(rng, 10, 0.35)
-            x_bar, diag = solve(g, {0: 1.0, 9: 0.0}, SolverConfig(5000, 1e-10))
+            x_bar, diag = solve(g, {0: 1.0, 9: 0.0}, SolverConfig(5000))
             rounded_tv = total_variation(g, round_to_indicator(x_bar))
             assert diag.tv_final <= rounded_tv + 1e-3
 
@@ -373,12 +391,8 @@ class TestCertificate:
                 assert diag.bound <= opt + slack
                 assert opt <= diag.tv_final + slack
                 assert diag.tv_final == total_variation(g, result.scores[k - 1])
-                assert diag.converged == (diag.gap <= config.tol)
-                assert diag.converged == (diag.stop_reason != "budget")
+                assert diag.converged == (diag.stop_reason == "level_set")
                 if diag.converged:
-                    excess = diag.tv_final - opt
-                    assert excess <= config.tol * max(1.0, diag.tv_final) + slack
-                if diag.stop_reason == "level_set":
                     # the integer bound meets the optimum, with no rounding
                     assert diag.tv_final == diag.bound == opt and diag.gap == 0
                 outcomes.add((config.max_iters, diag.stop_reason))
@@ -405,10 +419,8 @@ class TestCertificate:
             assert diagnostics[0].bound <= opt + self.slack(opt)
             assert opt <= diagnostics[0].tv_final + self.slack(opt)
             if diagnostics[0].converged:
-                excess = diagnostics[0].tv_final - opt
-                tv = diagnostics[0].tv_final
-                assert excess <= config.tol * max(1.0, tv) + self.slack(opt)
-            assert diagnostics[2].tv_final == 0.0 and diagnostics[2].converged
+                assert abs(diagnostics[0].tv_final - opt) <= self.slack(opt)
+            assert diagnostics[2].tv_final == 0.0 and diagnostics[2].iters == 0
 
     def test_reference_protocol_sweep_budget(self):
         # the first rep of the reference sweep (sizes 50,50, p_out 0.025,
@@ -437,25 +449,38 @@ class TestCertificate:
                 assert_array_equal(result.scores[k - 1, seed_ids],
                                    [target[i] for i in seed_ids])
 
-    def test_non_binary_solve_keeps_gap_stop(self):
-        # values other than 0/1 have no integer optimum: the solve stops on
-        # the relative gap, with the signal and diagnostics the gap stop
-        # alone gave (pinned from the solver before the level-set stop)
-        g = build_graph(12, [
+    def test_non_binary_solves_reach_threshold_optimum(self):
+        # labeled values a_0 < ... < a_m: the optimum is the sum over j of
+        # (a_j - a_{j-1}) times the min cut of the 0/1 target [value >= a_j];
+        # the first graph is the one where the relative-gap stop took 984
+        # sweeps and stopped 8e-6 above it
+        rng = np.random.default_rng(22)
+        cases = [(build_graph(12, [
             (0, 4), (0, 8), (0, 11), (1, 4), (1, 7), (1, 8), (2, 5), (2, 6),
             (2, 11), (3, 5), (3, 10), (3, 11), (4, 6), (4, 7), (4, 8), (5, 8),
             (5, 10), (6, 9), (7, 9), (7, 10), (7, 11), (9, 11), (10, 11),
-        ])
-        x, diag = solve(g, {0: 0.3, 5: -1.7, 11: 1.0})
-        assert_array_equal(x, [
-            0.3, 0.2999987790754029, 0.2999982324986161, 0.2999974936153708,
-            0.29999891288566777, -1.7, 0.29999842555854617, 0.29999836629949816,
-            0.2999991913997043, 0.2999983032638129, 0.29999776738174677, 1.0,
-        ])
-        assert (diag.iters, diag.converged, diag.stop_reason) == (984, True, "gap")
-        assert diag.tv_final == 12.200007939963294
-        assert diag.bound == 12.199995800243837
-        assert diag.gap == 9.95058324304226e-07
+        ]), {0: 0.3, 5: -1.7, 11: 1.0})]
+        for _ in range(200):
+            n = int(rng.integers(4, 81))
+            g = random_graph(rng, n, float(rng.uniform(1.0, 6.0)) / n)
+            ids = rng.choice(n, size=int(rng.integers(2, min(n, 9) + 1)), replace=False)
+            # one decimal: some labels share a value
+            values = np.round(rng.uniform(-3.0, 3.0, ids.size), 1)
+            cases.append((g, {int(i): float(v) for i, v in zip(ids, values)}))
+        for g, seeds in cases:
+            x, diag = solve(g, seeds)
+            levels = np.unique(list(seeds.values()))
+            opt = sum(
+                (a - below) * mincut_tv_oracle(
+                    g, {i: float(v >= a) for i, v in seeds.items()}
+                ).optimal_tv
+                for below, a in zip(levels, levels[1:])
+            )
+            assert diag.stop_reason == "level_set" and diag.converged
+            assert abs(diag.tv_final - opt) <= 1e-12 * max(1.0, opt)
+            assert diag.tv_final == total_variation(g, x)
+            assert all(x[i] == v for i, v in seeds.items())
+            assert levels[0] <= x.min() and x.max() <= levels[-1]
 
 
 class TestBatchedKernel:
@@ -464,9 +489,7 @@ class TestBatchedKernel:
 
     CONFIGS = {
         "default_budget": SolverConfig(max_iters=400),
-        "max_iters_hit": SolverConfig(max_iters=60, tol=0),
-        "tol_1e-5": SolverConfig(max_iters=300, tol=1e-5),
-        "tol_1e-4": SolverConfig(max_iters=300, tol=1e-4),
+        "max_iters_hit": SolverConfig(max_iters=6),
     }
 
     @pytest.mark.parametrize("name", CONFIGS)
@@ -483,19 +506,23 @@ class TestBatchedKernel:
                 ids = np.append(ids, 15)
             labels = {int(i): c % k_max + 1 for c, i in enumerate(ids)}
             result = cluster(g, labels, config)
-            # the K indicator targets, which stop on a level set, and one
-            # 0.3/-1.7 target, which has no integer optimum and stops on the
-            # gap or the budget, as one batch
+            # the K indicator targets (one value when K = 1), a 0.3/-1.7
+            # target, one of random values and a constant one, as one batch;
+            # each row is bit for bit its own solve() and the reference
             targets = [indicator_targets(labels, k) for k in range(1, k_max + 1)]
             targets.append({i: 0.3 if v else -1.7 for i, v in targets[0].items()})
+            targets.append({i: float(rng.integers(-2, 3)) / 4 for i in labels})
+            targets.append({i: -0.7 for i in labels})
             seed_ids = sorted(labels)
             values = [[t[i] for i in seed_ids] for t in targets]
             scores, diagnostics = solve_batch(g, seed_ids, values, config)
             assert_array_equal(scores[:k_max], result.scores)
             assert diagnostics[:k_max] == result.diagnostics
             for row, diag, target in zip(scores, diagnostics, targets):
-                reference = reference_solve(g, target, config)
-                assert_same_as_reference(row, diag, reference)
+                x, own = solve(g, target, config)
+                assert_array_equal(row, x)
+                assert diag == own
+                assert_same_as_reference(row, diag, reference_solve(g, target, config))
             distinct_stops += len({d.iters for d in diagnostics}) > 1
             budget_hits += sum(d.stop_reason == "budget" for d in diagnostics)
         assert distinct_stops > 0
@@ -503,19 +530,22 @@ class TestBatchedKernel:
             assert budget_hits > 0
 
     def test_row_groups_match_reference(self):
-        # about 29,000 edges: rows go in groups of two, so three targets
-        # run as a group of two and a group of one
+        # about 29,000 edges: 0/1 targets go in groups of two, so the three
+        # indicator targets and the four thresholds of a five-valued row
+        # run as groups (1, 2), (3, 4a), (4b, 4c), (4d): the row's signal is
+        # put together across three groups
         rng = np.random.default_rng(13)
         g = random_connected_graph(rng, 250, 0.93)
         assert solver._ROW_EDGES // g.num_edges == 2
         labels = {0: 1, 1: 2, 2: 3, 3: 1, 4: 3}
+        targets = [indicator_targets(labels, k) for k in range(1, 4)]
+        targets.append({0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 1.5})
+        values = [[t[i] for i in sorted(labels)] for t in targets]
         config = SolverConfig(max_iters=60)
-        result = cluster(g, labels, config)
-        for k in range(1, 4):
-            reference = reference_solve(g, indicator_targets(labels, k), config)
-            assert_same_as_reference(
-                result.scores[k - 1], result.diagnostics[k - 1], reference
-            )
+        scores, diagnostics = solve_batch(g, sorted(labels), values, config)
+        assert_array_equal(scores[:3], cluster(g, labels, config).scores)
+        for row, diag, target in zip(scores, diagnostics, targets):
+            assert_same_as_reference(row, diag, reference_solve(g, target, config))
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_solve_matches_reference(self, name):

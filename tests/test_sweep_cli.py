@@ -1,10 +1,12 @@
+import argparse
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tvclust.cli import main
+from tvclust.cli import build_parser, main
 from tvclust.sbm import read_instance
 from tvclust.solver import SolverConfig
 from tvclust.sweep import (
@@ -303,10 +305,11 @@ class TestCliSweep:
         "command, line",
         [("sweep", "max_iter=3"), ("sweep", "timing=yes"),
          ("sweep", "config=other.cfg"), ("analyze", "format=text"),
-         ("generate", "permute=yes"), ("cluster", "reps=2")],
+         ("generate", "permute=yes"), ("cluster", "reps=2"), ("sweep", "tol=1e-6")],
     )
     def test_config_key_not_read_is_usage_error(self, tmp_path, capsys, command, line):
-        # each of these keys used to be ignored without a word
+        # each of these keys but tol used to be ignored without a word; tol
+        # is no longer a solver setting
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -328,16 +331,37 @@ class TestCliSweep:
     [
         ["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
          "--num-seeds", "1", "--rng-seed", "5", "--max-iters", "0"],
-        ["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
-         "--num-seeds", "1", "--rng-seed", "5", "--tol", "nan"],
         TestCliSweep.ARGV + ["--max-iters", "0", "--out", "unused.csv"],
     ],
-    ids=["cluster_max_iters", "cluster_tol", "sweep_max_iters"],
+    ids=["cluster_max_iters", "sweep_max_iters"],
 )
 def test_bad_solver_setting_named_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert "error: SolverConfigError: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+def test_tol_flag_is_usage_error(command, capsys):
+    # the sweep budget is the solver's one setting
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_readme_cli_flags_match_parser():
+    # the flags README's CLI section names are exactly those the parser
+    # defines, so a removed flag cannot linger in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*[a-z]", section))
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    defined = {flag for sub in commands.values() for action in sub._actions
+               for flag in action.option_strings if flag != "--help"}
+    assert documented == defined - {"-h"}
 
 
 # `tvclust generate` arguments of the instances whose `tvclust analyze` CSVs,
