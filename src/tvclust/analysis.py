@@ -49,6 +49,7 @@ from tvclust.graphs import (
     laplacian,
 )
 from tvclust.sbm import SbmInstance, SbmParams
+from tvclust.solver import _check_seeds
 
 class OracleInputError(ValueError):
     """Seed values passed to the min-cut oracle are not all binary."""
@@ -131,18 +132,17 @@ def mincut_tv_oracle(g: Graph, seed_values: dict) -> OracleResult:
     unbounded arcs, and reads the optimum off the max flow.  The returned
     signal is the indicator of the minimal source side, an exact
     minimizer.  With seeds of only one value the optimum is 0 with a
-    constant signal.
+    constant signal.  Seed ids must be integers in 0..N-1
+    (``SeedValuesError``, the solver's rule).
     """
-    ones, zeros = [], []
-    for node, value in seed_values.items():
-        if value == 1.0:
-            ones.append(int(node))
-        elif value == 0.0:
-            zeros.append(int(node))
-        else:
+    ids = sorted(seed_values)
+    ids, (values,) = _check_seeds(g, ids, [[seed_values[i] for i in ids]])
+    for node, value in zip(ids.tolist(), values.tolist()):
+        if value not in (0.0, 1.0):
             raise OracleInputError(f"seed value {value!r} at node {node} not in {{0, 1}}")
-    if not ones or not zeros:
-        level = 1.0 if ones else 0.0
+    ones, zeros = ids[values == 1.0], ids[values == 0.0]
+    if not ones.size or not zeros.size:
+        level = 1.0 if ones.size else 0.0
         return OracleResult(0, np.full(g.num_nodes, level), True)
     n = g.num_nodes
     source, sink = n, n + 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.graphs import Graph, Partition, checked_int, checked_int_array
+from tvclust.graphs import Graph, Partition, PartitionError, checked_int, checked_int_array
 from tvclust.sbm import SeedSet
 from tvclust.solver import SolveDiagnostics, SolverConfig, solve_batch
 
@@ -92,6 +92,11 @@ def accuracy(result: ClusteringResult, truth: Partition, seeds) -> float:
     0..N-1.  When every node is labeled there is nothing to score; that
     degenerate case returns 1.0.
     """
+    if result.assignment.size != truth.num_nodes:
+        raise PartitionError(
+            f"partition covers {truth.num_nodes} nodes, result has "
+            f"{result.assignment.size}"
+        )
     seed_nodes = seeds.all_nodes if isinstance(seeds, SeedSet) else list(seeds)
     ids = checked_int_array(seed_nodes, SeedLabelError, "labeled node ids")
     if ((ids < 0) | (ids >= truth.num_nodes)).any():

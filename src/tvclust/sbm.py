@@ -25,6 +25,7 @@ import numpy as np
 from tvclust.graphs import (
     Graph,
     Partition,
+    PartitionError,
     build_graph,
     checked_int,
     checked_int_array,
@@ -62,7 +63,8 @@ class RngSeedError(ValueError):
 
 
 class InstanceFormatError(ValueError):
-    """An instance directory is missing files or has a malformed header."""
+    """An instance directory is missing files or has a malformed header, or
+    an instance the directory format cannot hold."""
 
 
 class SeedGroupError(ValueError):
@@ -130,6 +132,11 @@ class SbmInstance:
 
     def __post_init__(self):
         groups, truth = self.seeds.per_cluster, self.truth
+        if truth.num_nodes != self.graph.num_nodes:
+            raise PartitionError(
+                f"partition covers {truth.num_nodes} nodes, graph has "
+                f"{self.graph.num_nodes}"
+            )
         if self.params.cluster_sizes != tuple(truth.cluster_sizes.tolist()):
             raise SbmParamsError(
                 f"params cluster_sizes {list(self.params.cluster_sizes)} but the "
@@ -218,7 +225,7 @@ def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
     if isinstance(rng_seed, np.random.SeedSequence):
         root = rng_seed
     else:
-        root = np.random.SeedSequence(rng_seed)
+        root = np.random.SeedSequence(_checked_rng_seed(rng_seed))
     streams = root.spawn(truth.num_clusters)
     groups = []
     for k in range(1, truth.num_clusters + 1):
@@ -269,6 +276,13 @@ def permute_instance(instance: SbmInstance, rng_seed: int) -> SbmInstance:
 # ---------------------------------------------------------------------------
 
 def write_instance(instance: SbmInstance, out_dir) -> None:
+    """Write the header, edge list and partition files; the header's one
+    S= count holds only seed groups of equal size."""
+    sizes = [len(group) for group in instance.seeds.per_cluster]
+    if len(set(sizes)) > 1:
+        raise InstanceFormatError(
+            f"seed groups of sizes {sizes} do not fit the header's one S= count"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p = instance.params

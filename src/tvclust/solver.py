@@ -48,7 +48,9 @@ the optimal face stays.  A target that never certifies gives its last
 checked iterate, clipped, after ``max_iters`` sweeps.  A row's
 ``stop_reason`` is "level_set" when all its targets certified, else
 "budget"; its ``iters`` is the most sweeps of its targets and its
-``bound`` is sum_j (a_j - a_{j-1}) times target j's bound.
+``bound`` is sum_j (a_j - a_{j-1}) times target j's bound.  A row whose
+targets all certified is an optimum and reports gap 0: its float TV and
+bound may still differ by rounding.
 
 :func:`solve` is the one-problem case.  Isolated nodes have no messages;
 they keep gamma_i = 1 and hold their initial value (0 or the seed value).
@@ -93,7 +95,7 @@ class SolveDiagnostics:
     tv_final: float  # TV of the returned signal
     converged: bool  # stop_reason == "level_set": the signal is an optimum
     bound: float  # certified lower bound on the optimal TV
-    gap: float  # (tv_final - bound) / max(1, tv_final)
+    gap: float  # 0 if converged, else (tv_final - bound) / max(1, tv_final)
     stop_reason: str  # "level_set" or "budget"
 
     def as_text(self) -> str:
@@ -279,7 +281,8 @@ def solve_batch(
         done = bool(certified[mine].all())
         diagnostics.append(SolveDiagnostics(
             int(iters[mine].max(initial=0)), tv, done, lower,
-            (tv - lower) / max(1.0, tv), "level_set" if done else "budget",
+            0.0 if done else (tv - lower) / max(1.0, tv),
+            "level_set" if done else "budget",
         ))
     return scores, tuple(diagnostics)
 

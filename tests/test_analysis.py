@@ -37,7 +37,7 @@ from tvclust.graphs import (
     total_variation,
 )
 from tvclust.sbm import SbmParams, SeedSet, SbmInstance, generate, generate_instance
-from tvclust.solver import SolverConfig
+from tvclust.solver import SeedValuesError, SolverConfig
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -205,6 +205,20 @@ class TestOracle:
     def test_non_binary_rejected(self, bridge_graph):
         with pytest.raises(OracleInputError):
             mincut_tv_oracle(bridge_graph, {0: 0.5})
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [({4: 1.0, 0: 0.0}, "outside 0..3"), ({5: 1.0, 3: 0.0}, "outside 0..3"),
+         ({1.5: 1.0, 0: 0.0}, "must be integers, got 1.5"),
+         ({10: 1.0, 0: 0.0}, "outside 0..3")],
+        ids=["source_id", "sink_id", "fraction", "far_past_last"],
+    )
+    def test_seed_ids_checked(self, seeds, message):
+        # 4 and 5 used to be read as the super-source and super-sink (TV 0
+        # and 7 on the path), 1.5 as node 1, and 10 failed inside scipy
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(SeedValuesError, match=message):
+            mincut_tv_oracle(path, seeds)
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(31)

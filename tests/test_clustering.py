@@ -12,7 +12,7 @@ from tvclust.clustering import (
     indicator_targets,
     write_result_csv,
 )
-from tvclust.graphs import build_graph, contiguous_partition
+from tvclust.graphs import PartitionError, build_graph, contiguous_partition
 from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import SolverConfig
 
@@ -158,6 +158,13 @@ class TestAccuracy:
         res = self._result([1, 1, 2, 2])
         with pytest.raises(SeedLabelError, match="labeled node id"):
             accuracy(res, truth, seeds=[seed])
+
+    def test_size_mismatch_rejected(self):
+        # a result for 4 nodes against a 6-node truth used to raise a bare
+        # IndexError
+        truth = contiguous_partition([3, 3])
+        with pytest.raises(PartitionError, match="partition covers 6 nodes, result has 4"):
+            accuracy(self._result([1, 1, 2, 2]), truth, seeds=[0, 3])
 
     def test_seedset_object(self):
         inst = generate_instance(SbmParams((5, 5), 1.0, 0.0), s=1, rng_seed=0)

@@ -21,7 +21,7 @@ from tvclust.sbm import (
     select_seeds,
     write_instance,
 )
-from tvclust.graphs import contiguous_partition
+from tvclust.graphs import PartitionError, build_graph, contiguous_partition
 
 
 class TestParams:
@@ -230,6 +230,13 @@ class TestSelectSeeds:
             params, 2, 3
         ).seeds
 
+    @pytest.mark.parametrize("rng_seed", [-1, 2.5])
+    def test_bad_rng_seed_named(self, rng_seed):
+        # -1 used to fail inside numpy with a bare ValueError, 2.5 with a
+        # bare TypeError
+        with pytest.raises(RngSeedError, match="rng_seed"):
+            select_seeds(contiguous_partition([4, 4]), 1, rng_seed)
+
     def test_deterministic(self):
         truth = contiguous_partition([20, 20])
         a = select_seeds(truth, 4, rng_seed=99)
@@ -276,11 +283,29 @@ class TestInstance:
         with pytest.raises(SbmParamsError, match=message):
             SbmInstance(inst.graph, inst.truth, inst.seeds, params, 0)
 
+    def test_graph_checked_against_truth(self):
+        # a 10-node graph with a 12-node truth made accuracy(cluster(...))
+        # fail with a bare IndexError
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=1, rng_seed=0)
+        graph = build_graph(10, [(0, 1)])
+        with pytest.raises(PartitionError, match="partition covers 12 nodes, graph has 10"):
+            SbmInstance(graph, inst.truth, inst.seeds, inst.params, 0)
+
     @pytest.mark.parametrize("rng_seed", [-1, 2.5, "7"])
     def test_bad_rng_seed_named(self, rng_seed):
         # -1 used to fail inside numpy with a bare ValueError
         with pytest.raises(RngSeedError, match="rng_seed"):
             generate_instance(SbmParams((4, 4), 0.5, 0.1), 1, rng_seed)
+
+    def test_unequal_seed_groups_not_written(self, tmp_path):
+        # the header's one S= count used to come from the first group, so
+        # read_instance rejected the files written for groups of sizes 2, 1
+        inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=2, rng_seed=0)
+        uneven = SbmInstance(inst.graph, inst.truth, SeedSet(((0, 1), (6,))),
+                             inst.params, 0)
+        with pytest.raises(InstanceFormatError, match=r"sizes \[2, 1\]"):
+            write_instance(uneven, tmp_path / "inst")
+        assert not (tmp_path / "inst").exists()
 
     def test_round_trip(self, tmp_path):
         inst = generate_instance(SbmParams((8, 12), 0.7, 0.08), s=3, rng_seed=77)

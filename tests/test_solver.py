@@ -94,7 +94,9 @@ def reference_solve(g, seed_values, config):
     bound = (np.diff(levels) * np.array([run[2] for run in runs])).sum()
     converged = all(run[3] for run in runs)
     iters = max((run[1] for run in runs), default=0)
-    gap = (tv - bound) / max(1.0, tv)
+    # a row whose targets all certified is an optimum: gap 0 however its
+    # float TV and bound round
+    gap = 0.0 if converged else (tv - bound) / max(1.0, tv)
     return x, iters, converged, tv, bound, gap, "level_set" if converged else "budget"
 
 
@@ -342,7 +344,8 @@ class TestSolve:
                 assert_array_equal(x, -1.7 * (1.0 - last) + 0.3 * last)
             assert diag.tv_final == total_variation(bridge_graph, x)
             tv, bound = diag.tv_final, diag.bound
-            assert diag.gap == (tv - bound) / max(1.0, tv)
+            if not diag.converged:
+                assert diag.gap == (tv - bound) / max(1.0, tv)
 
     def test_scale_equivariance_of_constraints(self, bridge_graph):
         cfg = SolverConfig(max_iters=2000)
@@ -421,6 +424,25 @@ class TestCertificate:
             if diagnostics[0].converged:
                 assert abs(diagnostics[0].tv_final - opt) <= self.slack(opt)
             assert diagnostics[2].tv_final == 0.0 and diagnostics[2].iters == 0
+
+    @pytest.mark.parametrize("budget", [8, 40, 2000])
+    def test_gap_never_negative(self, budget):
+        # certified rows with several labeled values used to read gaps of
+        # about -4e-16, where the float sums of the bound and TV crossed
+        rng = np.random.default_rng(2026)
+        reasons = set()
+        for _ in range(30):
+            n = int(rng.integers(5, 25))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.6)))
+            ids = np.sort(rng.choice(n, size=int(rng.integers(2, 6)), replace=False))
+            values = rng.uniform(-3.0, 3.0, (4, ids.size))
+            _, diagnostics = solve_batch(g, ids, values, SolverConfig(budget))
+            for diag in diagnostics:
+                assert diag.gap >= 0.0
+                if diag.stop_reason == "level_set":
+                    assert diag.gap == 0.0
+                reasons.add(diag.stop_reason)
+        assert "level_set" in reasons
 
     def test_reference_protocol_sweep_budget(self):
         # the first rep of the reference sweep (sizes 50,50, p_out 0.025,

@@ -1,12 +1,18 @@
 import argparse
 import csv
+import functools
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tvclust.cli import build_parser, main
+from tvclust.cli import CliUsageError, build_parser, main
 from tvclust.sbm import read_instance
 from tvclust.solver import SolverConfig
 from tvclust.sweep import (
@@ -343,11 +349,84 @@ def test_bad_solver_setting_named_error(argv, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["cluster", "sweep"])
 def test_tol_flag_is_usage_error(command, capsys):
-    # the sweep budget is the solver's one setting
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--tol", "1e-6"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # the sweep budget is the solver's one setting; argparse's own errors
+    # are usage errors like any other, one named line and exit status 2
+    assert main([command, "--tol", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: CliUsageError: unrecognized arguments: --tol 1e-6\n"
+
+
+def subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# (subcommand, flag) of every option a config file may set: each option
+# that takes a value and has no default of its own
+FILE_OPTIONS = sorted(
+    (name, action.option_strings[0])
+    for name, sub in subcommands().items() for action in sub._actions
+    if action.option_strings and action.nargs is None and action.default is None
+    and action.option_strings[0] != "--config"
+)
+# option text: numbers, lists, bounded ranges (a tiny step would make an
+# enormous grid) and free text without ':' or whitespace
+OPTION_TEXT = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-5, 99), min_size=1, max_size=4).map(
+        lambda v: ",".join(map(str, v))),
+    st.tuples(st.floats(-1, 2), st.floats(-1, 2),
+              st.one_of(st.floats(0.05, 1), st.floats(-1, 0))).map(
+        lambda t: ":".join(map(repr, t))),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                          blacklist_characters=":"), max_size=12),
+)
+
+
+def parsed_option(argv, flag):
+    """repr of the option's parsed value, or the usage error's message."""
+    try:
+        args = build_parser().parse_args(argv)
+    except CliUsageError as exc:
+        return f"CliUsageError: {exc}"
+    return repr(getattr(args, flag[2:].replace("-", "_")))
+
+
+def test_file_options_cover_every_subcommand():
+    assert {name for name, _ in FILE_OPTIONS} == set(subcommands())
+    assert ("sweep", "--max-iters") in FILE_OPTIONS
+
+
+@given(option=st.sampled_from(FILE_OPTIONS), text=OPTION_TEXT, flag_text=OPTION_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_config_value_parses_like_flag(option, text, flag_text):
+    command, flag = option
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={text}\n")
+        from_file = parsed_option([command, "--config", str(cfg)], flag)
+        assert from_file == parsed_option([command, f"{flag}={text}"], flag)
+        # a flag beats the file, whether or not the file's value parses
+        both = parsed_option([command, "--config", str(cfg), f"{flag}={flag_text}"], flag)
+        assert both == parsed_option([command, f"{flag}={flag_text}"], flag)
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = functools.partial(subprocess.run, cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    bad = run([sys.executable, "-m", "tvclust.cli", *TestCliSweep.ARGV[:-1], "abc",
+               "--out", "x.csv"])
+    assert bad.returncode == 2
+    assert bad.stderr.splitlines() == [
+        "error: CliUsageError: argument --max-iters: invalid int value: 'abc'"
+    ]
+    assert not (tmp_path / "x.csv").exists()
+    for argv in (["--help"], ["sweep", "--help"]):
+        shown = run([sys.executable, "-m", "tvclust.cli", *argv])
+        assert shown.returncode == 0 and "usage: tvclust" in shown.stdout
 
 
 def test_readme_cli_flags_match_parser():
@@ -356,10 +435,7 @@ def test_readme_cli_flags_match_parser():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z-]*[a-z]", section))
-    parser = build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    defined = {flag for sub in commands.values() for action in sub._actions
+    defined = {flag for sub in subcommands().values() for action in sub._actions
                for flag in action.option_strings if flag != "--help"}
     assert documented == defined - {"-h"}
 
