@@ -41,6 +41,10 @@ from tvclust.sweep import (
 )
 
 
+# Points a --p-in-grid start:stop:step range may make
+GRID_MAX_POINTS = 100_000
+
+
 class CliUsageError(ValueError):
     """Inconsistent or missing command-line arguments."""
 
@@ -60,12 +64,26 @@ def _parse_probability_grid(text: str) -> tuple[float, ...]:
             )
         if step <= 0:
             raise argparse.ArgumentTypeError(f"grid step must be positive in {text!r}")
+        limit = stop + 1e-12
+        # a float estimate of the count refuses a huge range before any
+        # point is made; the loop itself refuses a count that the
+        # estimate's rounding lets through
+        span = (limit - start) / step
+        if span >= GRID_MAX_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"grid range {text!r} makes about {span + 1:.0f} points, "
+                f"more than {GRID_MAX_POINTS}"
+            )
         values = []
         k = 0
         while True:
             v = start + k * step
-            if v > stop + 1e-12:
+            if v > limit:
                 break
+            if k == GRID_MAX_POINTS:
+                raise argparse.ArgumentTypeError(
+                    f"grid range {text!r} makes more than {GRID_MAX_POINTS} points"
+                )
             values.append(round(v, 12))
             k += 1
         return tuple(values)
@@ -170,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Monte Carlo accuracy sweep")
     p_swp.add_argument(
         "--p-in-grid", type=_parse_probability_grid,
-        help="comma list or start:stop:step range of intra probabilities",
+        help="comma list or start:stop:step range of intra probabilities "
+             f"(a range makes at most {GRID_MAX_POINTS} points)",
     )
     p_swp.add_argument("--num-seeds", type=_parse_ints,
                        help="comma list of labeled-nodes-per-cluster values")

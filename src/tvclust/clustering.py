@@ -46,7 +46,13 @@ def indicator_targets(seed_labels: dict[int, int], k: int) -> dict[int, float]:
     A k with no seeds yields all-zero targets; callers that cannot make
     sense of that (the full clustering driver) reject it up front.
     """
-    return {i: 1.0 if c == k else 0.0 for i, c in seed_labels.items()}
+    labels = np.array(list(seed_labels.values()))
+    return dict(zip(seed_labels, _indicator_rows(labels, [k])[0].tolist()))
+
+
+def _indicator_rows(labels: np.ndarray, ks) -> np.ndarray:
+    """(len(ks), S) targets: row j is 1.0 where labels == ks[j], else 0.0."""
+    return (labels == np.asarray(ks)[:, None]).astype(np.float64)
 
 
 def _check_labels(seed_labels: dict[int, int]) -> int:
@@ -78,8 +84,8 @@ def cluster(
     """
     k_max = _check_labels(seed_labels)
     seed_ids = sorted(seed_labels)
-    targets = (indicator_targets(seed_labels, k) for k in range(1, k_max + 1))
-    values = np.array([[t[i] for i in seed_ids] for t in targets])
+    labels = np.array([seed_labels[i] for i in seed_ids])
+    values = _indicator_rows(labels, np.arange(1, k_max + 1))
     scores, diagnostics = solve_batch(g, seed_ids, values, config)
     assignment = np.argmax(scores, axis=0) + 1
     return ClusteringResult(assignment, scores, diagnostics)

@@ -80,7 +80,9 @@ def checked_int_array(values, error: type[ValueError], name: str) -> np.ndarray:
 class Graph:
     """Immutable undirected graph with oriented edges (head < tail).
 
-    Build one with :func:`build_graph`, which validates the edges.
+    Build one with :func:`build_graph`, which validates the edges.  Code
+    whose edges are oriented, distinct and in range by construction (the
+    SBM generator, cluster subgraphs) passes an (E, 2) int32 array directly.
 
     Attributes
     ----------

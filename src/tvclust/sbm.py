@@ -7,9 +7,12 @@ so the realized graph depends only on (parameters, seed), never on
 iteration or thread order.  `generate` draws that stream in bounded chunks
 of whole rows (`PAIR_CHUNK` pairs), which reads exactly the same uniforms
 as one draw over all pairs while its memory grows with the edges, not with
-the N(N-1)/2 pairs.  Derived streams (graph draw vs. per-cluster seed
-selection) are split with numpy's SeedSequence, which is also how sweep
-drivers should derive per-run seeds.
+the N(N-1)/2 pairs.  It wraps the drawn edges in a `Graph` directly, not
+through `build_graph`: each pair (i, j), i < j < N, is drawn once, so the
+edges are oriented, distinct and in range by construction.
+(`permute_instance` relabels a graph through `build_graph`.)  Derived
+streams (graph draw vs. per-cluster seed selection) are split with numpy's
+SeedSequence, which is also how sweep drivers should derive per-run seeds.
 
 Clusters occupy contiguous id blocks: cluster 1 gets ids 0..n_1-1, and so
 on.  An optional post-hoc node permutation is available but off by default.
@@ -156,10 +159,10 @@ class SbmInstance:
         if stray.size:
             i = stray[0]
             raise SeedGroupError(f"seed {nodes[i]} is not a node of cluster {home[i]}")
-        unique, counts = np.unique(nodes, return_counts=True)
-        if (counts > 1).any():
-            repeated = unique[counts > 1][0]
-            raise SeedGroupError(f"seed {repeated} is listed more than once")
+        ordered = np.sort(nodes)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise SeedGroupError(f"seed {repeated[0]} is listed more than once")
 
 
 def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
@@ -174,13 +177,14 @@ def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
     draw over all pairs would give.
     """
     truth = contiguous_partition(params.cluster_sizes)
-    # the chunks' uniform buffer is freed before the graph is built
+    # the chunks' uniform buffer is freed before the graph is built; the
+    # edges need none of build_graph's checks (see the module docstring)
     chunks = _edge_chunks(params, truth, rng_seed)
-    return build_graph(params.num_nodes, np.concatenate(chunks)), truth
+    return Graph(params.num_nodes, np.concatenate(chunks)), truth
 
 
 def _edge_chunks(params: SbmParams, truth: Partition, rng_seed: int) -> list:
-    """The edges `generate` draws, one (m, 2) array per chunk of rows."""
+    """The edges `generate` draws, one (m, 2) int32 array per chunk of rows."""
     n = params.num_nodes
     rng = np.random.Generator(np.random.Philox(rng_seed))
     p_in, p_out = params.p_in, params.p_out
@@ -190,7 +194,7 @@ def _edge_chunks(params: SbmParams, truth: Partition, rng_seed: int) -> list:
     # with j < block_end[i], draw with p_in and the rest with p_out
     row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
     block_end = np.cumsum(params.cluster_sizes)[truth.assignment - 1]
-    chunks = [np.empty((0, 2), dtype=np.int64)]
+    chunks = [np.empty((0, 2), dtype=np.int32)]
     # every chunk's uniforms go to one buffer: a fresh array per chunk is
     # allocated while the previous one is still bound, two chunks at once
     buffer = np.empty(min(max(PAIR_CHUNK, n - 1), int(row_start[-1])))
@@ -207,7 +211,9 @@ def _edge_chunks(params: SbmParams, truth: Partition, rng_seed: int) -> list:
         i = np.searchsorted(row_start, at, side="right") - 1
         j = i + 1 + at - row_start[i]
         keep = u[pos] < np.where(j < block_end[i], p_in, p_out)
-        chunks.append(np.column_stack([i[keep], j[keep]]))
+        edges = np.empty((int(keep.sum()), 2), dtype=np.int32)
+        edges[:, 0], edges[:, 1] = i[keep], j[keep]
+        chunks.append(edges)
         lo = hi
     return chunks
 
@@ -219,19 +225,22 @@ def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
     cluster k does not depend on how many clusters precede it.
     """
     s = checked_int(s, SeedCountError, "s")
-    smallest = int(truth.cluster_sizes.min())
-    if not 1 <= s <= smallest:
-        raise SeedCountError(f"s={s} must be in 1..{smallest} (smallest cluster)")
+    sizes = truth.cluster_sizes.tolist()
+    if not 1 <= s <= min(sizes):
+        raise SeedCountError(f"s={s} must be in 1..{min(sizes)} (smallest cluster)")
     if isinstance(rng_seed, np.random.SeedSequence):
         root = rng_seed
     else:
         root = np.random.SeedSequence(_checked_rng_seed(rng_seed))
-    streams = root.spawn(truth.num_clusters)
-    groups = []
-    for k in range(1, truth.num_clusters + 1):
-        rng = np.random.Generator(np.random.Philox(streams[k - 1]))
-        chosen = rng.choice(truth.nodes_in(k), size=s, replace=False)
-        groups.append(tuple(int(i) for i in np.sort(chosen)))
+    # every cluster's node ids in ascending order, one block per cluster;
+    # choosing positions in a block draws what choosing from its ids does
+    members = np.argsort(truth.assignment, kind="stable")
+    groups, end = [], 0
+    for stream, size in zip(root.spawn(truth.num_clusters), sizes):
+        rng = np.random.Generator(np.random.Philox(stream))
+        chosen = members[end:end + size][rng.choice(size, size=s, replace=False)]
+        groups.append(tuple(sorted(chosen.tolist())))
+        end += size
     return SeedSet(tuple(groups))
 
 

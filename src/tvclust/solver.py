@@ -14,18 +14,26 @@ is a_i on a node labeled a_i, exactly (one term is a_i, the others 0), and
 TV(x) <= sum_j (a_j - a_{j-1}) C_j, which by the coarea formula is the
 optimum of the row.  A row with one value is that constant, with no sweep.
 The targets of all rows run as one batch, in groups that share one set of
-in-place arrays.  One sweep computes, row by row,
+in-place arrays.  One sweep of the diagonally preconditioned primal-dual
+method of Chambolle and Pock (2011), with gamma_i = 1/d_i, is
 
     x~_i  = 2 x_i - x_i^prev                      (extrapolation)
     y_e  += (1/2) (x~_head - x~_tail), then clip y_e to [-1, 1]
     r_i   = sum_{e: head=i} y_e - sum_{e: tail=i} y_e       (r = div y)
     x_i  -= gamma_i r_i, then x_i = value_i for labeled i
 
-with gamma_i = 1/d_i (the diagonally preconditioned primal-dual method of
-Chambolle and Pock, 2011).  A group's rows are gathered at flattened
-indices, and r is one ``np.bincount`` over the heads minus one over the
-tails; bincount adds in input order, so each row is summed exactly as in
-a one-row solve and its result depends neither on K nor on its group.
+and it is computed, row by row, as h_i = x_i - x_i^prev / 2 and y_e +=
+h_head - h_tail.  That is the same sweep bit for bit: halving and doubling
+are exact in binary floating point (short of subnormal numbers), so h_i =
+fl(2 x_i - x_i^prev) / 2 and h_head - h_tail = fl(x~_head - x~_tail) / 2.
+The clips are in-place ``np.minimum`` and ``np.maximum``, which equal
+``np.clip`` except on -0.0, a value no iterate or message takes (they
+start at +0.0, and a sum or difference is -0.0 only if its first term
+is).  A group's rows lie one after another in flat arrays, gathered at
+flattened indices, and r is one ``np.bincount`` over the heads minus one
+over the tails; bincount adds in input order, so each row is summed
+exactly as in a one-row solve and its result depends neither on K nor on
+its group.
 
 The stop is certified.  For |y_e| <= 1, TV(x) >= sum_i r_i x_i for every
 x.  Clipping a signal to [0, 1] never raises its TV and keeps the 0/1
@@ -68,6 +76,7 @@ _CHECK_EVERY = 8  # sweeps between two certificate checks of a row
 # rows x edges swept together: past it batching saves no dispatch cost, and
 # groups keep the (rows, E) buffers a few MB however many rows there are
 _ROW_EDGES = 1 << 16
+_NO_CUT = np.iinfo(np.int64).max  # the least cut of a row ignores this entry
 
 
 class SeedValuesError(ValueError):
@@ -111,7 +120,7 @@ def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarra
     values = np.asarray(seed_values, dtype=np.float64)
     if ids.size == 0:
         raise SeedValuesError("labeled node set must be nonempty")
-    if ids.ndim != 1 or (np.diff(ids) <= 0).any():
+    if ids.ndim != 1 or (ids[1:] <= ids[:-1]).any():
         raise SeedValuesError("labeled node ids must be distinct and ascending")
     if ids[0] < 0 or ids[-1] >= g.num_nodes:
         raise SeedValuesError(f"labeled node id outside 0..{g.num_nodes - 1}")
@@ -125,72 +134,79 @@ def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarra
 
 
 class _Sweeper:
-    """Step sizes, flattened edge and seed indices and work buffers for k
-    rows.  The (k, E) gathers go to buffers allocated once: a fresh array per
-    sweep costs a page fault per 4 KiB whenever it is returned to the system.
+    """The k 0/1 targets swept together: step sizes, flattened edge and
+    seed indices, iterates, messages and work buffers.  Every array is
+    flat, row after row, so dropping rows keeps a leading slice, and every
+    buffer is allocated once: a fresh array per sweep costs a page fault
+    per 4 KiB whenever it is returned to the system.
     """
 
-    def __init__(self, g: Graph, seed_ids: np.ndarray, rows: int):
-        offsets = np.arange(rows, dtype=np.int64)[:, None] * g.num_nodes
-        self.heads = (g.heads + offsets).ravel()
-        self.tails = (g.tails + offsets).ravel()
-        self.seeds = (seed_ids + offsets).ravel()
-        self.gamma = 1.0 / np.maximum(g.degrees, 1)  # 1 on isolated nodes
-        self.x_tilde = np.empty((rows, g.num_nodes))
-        self.diff = np.empty(self.heads.size)
-        self.at_tails = np.empty(self.heads.size)
+    def __init__(self, g: Graph, seed_ids: np.ndarray, targets: np.ndarray):
+        k, n = targets.shape[0], g.num_nodes
+        self.row_start = np.arange(0, k * n, n)[:, None]  # row i's flat offset
+        self.heads = (g.heads + self.row_start).ravel()
+        self.tails = (g.tails + self.row_start).ravel()
+        self.seeds = (seed_ids + self.row_start).ravel()
+        self.values = targets.astype(np.float64).ravel()
+        gamma = 1.0 / np.maximum(g.degrees, 1)  # 1 on isolated nodes
+        self.gamma = gamma[None].repeat(k, axis=0).ravel()
+        self.index = np.arange(k * n).reshape(k, n)
+        self.x_prev, self.x = np.zeros(k * n), np.zeros(k * n)
+        self.y = np.zeros(self.heads.size)
+        self.half = np.empty(k * n)
+        self.diff, self.at_tails = np.empty(self.heads.size), np.empty(self.heads.size)
+        self.divergence = None  # r = div y of the last sweep
 
-    def keep_rows(self, k: int) -> None:
-        """Sweep only the k leading rows from now on."""
-        rows = len(self.x_tilde)
-        self.heads = self.heads[: self.heads.size // rows * k]
-        self.tails = self.tails[: self.tails.size // rows * k]
-        self.seeds = self.seeds[: self.seeds.size // rows * k]
-        self.x_tilde = self.x_tilde[:k]
-        self.diff = self.diff[: self.heads.size]
-        self.at_tails = self.at_tails[: self.heads.size]
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Sweep only the rows where `keep` is true from now on."""
+        k, m = keep.size, int(keep.sum())
+        for name in ("x_prev", "x", "y", "values"):
+            rows = getattr(self, name).reshape(k, -1)
+            rows[:m] = rows[keep]
+            setattr(self, name, rows[:m].reshape(-1))
+        for name in ("heads", "tails", "seeds", "gamma", "half", "diff", "at_tails"):
+            a = getattr(self, name)
+            setattr(self, name, a[: a.size // k * m])
+        self.row_start, self.index = self.row_start[:m], self.index[:m]
 
-    def sweep(self, x_prev, x_cur, y, seed_values) -> np.ndarray:
-        """One sweep in place: updates the (k, E) messages y, overwrites
-        x_prev with the new (k, N) iterate and returns r = div y; the caller
-        then swaps x_prev and x_cur.  seed_values is (k, S).
-        """
-        x_tilde = self.x_tilde
-        np.multiply(x_cur, 2.0, out=x_tilde)
-        x_tilde -= x_prev
-        x_flat = x_tilde.reshape(-1)
+    def sweep(self) -> None:
+        """One sweep in place of the iterates x_prev, x and the messages y."""
+        x, half, y = self.x, self.half, self.y
+        # x~/2 = x - x_prev/2 is exactly fl(2 x - x_prev)/2: the messages'
+        # step 1/2 is folded into the extrapolation
+        np.multiply(self.x_prev, 0.5, out=half)
+        np.subtract(x, half, out=half)
         # mode="clip" never clips (the indices are in range) and, unlike
         # the default, writes to `out` without an intermediate copy
-        diff = x_flat.take(self.heads, out=self.diff, mode="clip")
-        diff -= x_flat.take(self.tails, out=self.at_tails, mode="clip")
-        diff *= 0.5
-        y_flat = y.reshape(-1)
-        y_flat += diff
-        np.clip(y_flat, -1.0, 1.0, out=y_flat)
-        divergence = np.bincount(self.heads, weights=y_flat, minlength=x_flat.size)
-        divergence -= np.bincount(self.tails, weights=y_flat, minlength=x_flat.size)
-        divergence = divergence.reshape(x_tilde.shape)
-        np.multiply(divergence, self.gamma, out=x_prev)
-        np.subtract(x_cur, x_prev, out=x_prev)
-        x_prev.reshape(-1)[self.seeds] = seed_values.reshape(-1)
-        return divergence
+        diff = half.take(self.heads, out=self.diff, mode="clip")
+        diff -= half.take(self.tails, out=self.at_tails, mode="clip")
+        y += diff
+        np.minimum(y, 1.0, out=y)
+        np.maximum(y, -1.0, out=y)
+        divergence = np.bincount(self.heads, weights=y, minlength=x.size)
+        divergence -= np.bincount(self.tails, weights=y, minlength=x.size)
+        x_next = self.x_prev
+        np.multiply(divergence, self.gamma, out=x_next)
+        np.subtract(x, x_next, out=x_next)
+        x_next[self.seeds] = self.values
+        self.x_prev, self.x, self.divergence = x, x_next, divergence
 
-    def certify(self, x, divergence, seed_values):
-        """The (k, N) iterate x clipped to [0, 1] (a view of a work buffer)
-        and the weak-duality bound per row of the messages whose divergence
-        is given."""
-        clipped = np.clip(x, 0.0, 1.0, out=self.x_tilde)
+    def certify(self):
+        """The (k, N) iterate clipped to [0, 1] (a view of a work buffer)
+        and the weak-duality bound per row of the last sweep's messages."""
+        clipped = np.minimum(self.x, 1.0, out=self.half)
+        np.maximum(clipped, 0.0, out=clipped)
+        divergence = self.divergence
         terms = np.minimum(divergence, 0.0)
-        at_seeds = divergence.reshape(-1)[self.seeds] * seed_values.reshape(-1)
-        terms.reshape(-1)[self.seeds] = at_seeds
-        return clipped, terms.sum(axis=1)
+        terms[self.seeds] = divergence[self.seeds] * self.values
+        k = self.row_start.size
+        return clipped.reshape(k, -1), terms.reshape(k, -1).sum(axis=1)
 
     def level_sets(self, clipped, floor):
         """Which rows of the clipped (k, N) iterate have a level set {x > t},
         t below the row's top value, that cuts at most `floor` edges, and
-        the (k, N) signal whose certified rows are the average of their
-        optimal level sets weighted by threshold length (its other rows are
-        0), or None when no row certifies.
+        the (m, N) signals of those m rows, each the average of its optimal
+        level sets weighted by threshold length (None when m is 0).
 
         With a row's nodes sorted by value, each level set is the complement
         of the first m + 1 nodes, for the m at which the sorted value steps
@@ -200,36 +216,32 @@ class _Sweeper:
         k, n = clipped.shape
         # flat indices, row by row in ascending value; ties have no level
         # set between them, so their order does not matter
-        order = np.argsort(clipped, axis=1) + np.arange(0, k * n, n)[:, None]
+        order = clipped.argsort(axis=1)
+        order += self.row_start
         rank = np.empty(k * n, dtype=np.int64)  # rank in the row + row * N
-        rank[order] = np.arange(k * n).reshape(k, n)
+        rank[order] = self.index
         at_heads, at_tails = rank.take(self.heads), rank.take(self.tails)
         crossings = np.bincount(np.minimum(at_heads, at_tails), minlength=k * n)
         crossings -= np.bincount(np.maximum(at_heads, at_tails), minlength=k * n)
-        cut = np.cumsum(crossings.reshape(k, n), axis=1)
+        cut = crossings.reshape(k, n).cumsum(axis=1)
         # prefix m is the complement of {x > t} for t in [value m, value m + 1)
-        length = np.zeros((k, n))
-        length[:, :-1] = np.diff(clipped.take(order), axis=1)
-        least = np.where(length > 0, cut, np.iinfo(cut.dtype).max).min(axis=1)
+        ascending = clipped.take(order)
+        length = np.empty((k, n))
+        np.subtract(ascending[:, 1:], ascending[:, :-1], out=length[:, :-1])
+        length[:, -1] = 0.0
+        least = np.where(length > 0, cut, _NO_CUT).min(axis=1)
         exact = least <= floor
         if not exact.any():
             return exact, None
         optimal = cut[exact] == least[exact, None]
-        total = np.cumsum(np.where(optimal, length[exact], 0.0), axis=1)
+        total = np.where(optimal, length[exact], 0.0).cumsum(axis=1)
         by_rank = np.zeros(total.shape)
         by_rank[:, 1:] = total[:, :-1] / total[:, -1:]
         signal = np.zeros(k * n)
         # on a grid of 2^-24 steps every edge difference and every partial
         # sum of the TV is exact below 2^29 edges: the signal's TV is OPT
         signal[order[exact]] = np.rint(by_rank * 2.0**24) / 2.0**24
-        return exact, signal.reshape(k, n)
-
-
-def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Move the kept leading rows of a to its front; returns the shorter view."""
-    n = int(keep.sum())
-    a[:n] = a[keep]
-    return a[:n]
+        return exact, signal.reshape(k, n)[exact]
 
 
 def solve_batch(
@@ -249,13 +261,18 @@ def solve_batch(
     The targets of all rows are swept in groups of max(1, _ROW_EDGES // E).
     """
     seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
-    levels = [np.unique(v) for v in seed_values]  # a_0 < ... < a_m per row
-    # row k's targets [value >= a_j], j = 1..m, one after another
-    targets = np.concatenate([v >= a[1:, None] for v, a in zip(seed_values, levels)])
-    owner = np.repeat(np.arange(len(levels)), [a.size - 1 for a in levels])
-    step = np.concatenate([np.arange(1, a.size) for a in levels])
+    # row k's distinct values a_0 < ... < a_m are where its sorted values
+    # step up; its targets [value >= a_j], j = 1..m, come one after another
+    ascending = np.sort(seed_values, axis=1)
+    owner, j = np.nonzero(ascending[:, 1:] != ascending[:, :-1])
+    lo, hi = ascending[owner, j], ascending[owner, j + 1]  # a_{j-1} and a_j
+    targets = seed_values[owner] >= hi[:, None]
+    count = np.bincount(owner, minlength=len(seed_values)).tolist()
+    last = np.cumsum(count).tolist()  # one past each row's last target
     iters, bound, certified = (np.empty(len(targets), t) for t in (int, float, bool))
-    scores = np.repeat([[a[0]] for a in levels], g.num_nodes, axis=1)
+    scores = np.repeat(ascending[:, :1], g.num_nodes, axis=1)
+    term = np.empty(g.num_nodes)
+    owner_of, lo_of, hi_of = owner.tolist(), lo.tolist(), hi.tolist()
     group = max(1, _ROW_EDGES // max(1, g.num_edges))
     for i in range(0, len(targets), group):
         part = slice(i, i + group)
@@ -265,22 +282,27 @@ def solve_batch(
         )
         # x = sum_j a_j (u_j - u_{j+1}), added up in ascending j; a group
         # keeps only its own targets' signals, so `above` carries u_{j-1}
-        for k, j, u_j in zip(owner[part], step[part], u):
-            if j == 1:
-                scores[k], above = 0.0, 1.0
-            a = levels[k]
-            scores[k] += a[j - 1] * (above - u_j)
-            if j == a.size - 1:
-                scores[k] += a[j] * u_j
+        for t, u_j in enumerate(u, i):
+            k = owner_of[t]
+            first = t == 0 or owner_of[t - 1] != k
+            row = scores[k]
+            np.subtract(1.0 if first else above, u_j, out=term)
+            term *= lo_of[t]
+            np.add(0.0 if first else row, term, out=row)
+            if t + 1 == last[k]:
+                np.multiply(u_j, hi_of[t], out=term)
+                row += term
             above = u_j
+    weighted = (hi - lo) * bound  # target j's share of its row's bound
+    iters_of, certified_of = iters.tolist(), certified.tolist()
     diagnostics = []
-    for k, a in enumerate(levels):
-        mine = owner == k
+    for k, end in enumerate(last):
+        mine = slice(end - count[k], end)
         tv = total_variation(g, scores[k])
-        lower = float((np.diff(a) * bound[mine]).sum())
-        done = bool(certified[mine].all())
+        lower = float(weighted[mine].sum())
+        done = all(certified_of[mine])
         diagnostics.append(SolveDiagnostics(
-            int(iters[mine].max(initial=0)), tv, done, lower,
+            max(iters_of[mine], default=0), tv, done, lower,
             0.0 if done else (tv - lower) / max(1.0, tv),
             "level_set" if done else "budget",
         ))
@@ -292,38 +314,34 @@ def _solve_rows(g, seed_ids, targets, max_iters, signals):
     the budget runs out, writing their signals to the (k, N) `signals`.
     Returns per target its sweep count, its bound (the rounded-up one if
     it certified) and whether it certified."""
-    k, n = targets.shape[0], g.num_nodes
-    sweeper = _Sweeper(g, seed_ids, k)
-    x_prev, x_cur = np.zeros((k, n)), np.zeros((k, n))
-    y = np.zeros((k, g.num_edges))
-    values = targets.astype(np.float64)
+    k = targets.shape[0]
+    sweeper = _Sweeper(g, seed_ids, targets)
     rows = np.arange(k)  # the target each active row solves
-    bound, iters = np.full(k, -np.inf), np.full(k, max_iters)
+    best = np.full(k, -np.inf)  # the greatest bound of each active row
+    bound, iters = np.empty(k), np.full(k, max_iters)
     certified = np.zeros(k, dtype=bool)
     for r in range(1, max_iters + 1):
-        divergence = sweeper.sweep(x_prev, x_cur, y, values)
-        x_prev, x_cur = x_cur, x_prev
+        sweeper.sweep()
         if r % _CHECK_EVERY and r < max_iters:
             continue
-        clipped, bound_now = sweeper.certify(x_cur, divergence, values)
-        bound[rows] = np.maximum(bound[rows], bound_now)
+        clipped, bound_now = sweeper.certify()
+        np.maximum(best, bound_now, out=best)
         if r == max_iters:
-            signals[rows] = clipped
+            signals[rows], bound[rows] = clipped, best
         # OPT is an integer: a level set that reaches the rounded-up bound
         # is an optimum
-        floor = np.ceil(bound[rows] - 1e-9 * np.maximum(1.0, np.abs(bound[rows])))
+        floor = np.ceil(best - 1e-9 * np.maximum(1.0, np.abs(best)))
         exact, signal = sweeper.level_sets(clipped, floor)
         if signal is None:
             continue
         done = rows[exact]
-        signals[done] = signal[exact]
-        bound[done], iters[done], certified[done] = floor[exact], r, True
-        x_prev, x_cur, y, values, rows = (
-            _compact(a, ~exact) for a in (x_prev, x_cur, y, values, rows)
-        )
-        sweeper.keep_rows(rows.size)
-        if rows.size == 0:
+        signals[done], bound[done] = signal, floor[exact]
+        iters[done], certified[done] = r, True
+        keep = ~exact
+        if not keep.any():
             break
+        rows, best = rows[keep], best[keep]
+        sweeper.keep_rows(keep)
     return iters, bound, certified
 
 

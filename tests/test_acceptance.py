@@ -50,7 +50,9 @@ from tvclust.graphs import (
 )
 from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import SolverConfig, solve
-from tvclust.sweep import SweepConfig, aggregate_rows, run_sweep
+from tvclust.sweep import SweepConfig, aggregate_rows, run_sweep, write_sweep_csv
+
+DATA = Path(__file__).parent / "data"
 
 # Committed reference constants: all sweep-based criteria run these exact
 # configurations, so their asserted numbers never drift.
@@ -156,7 +158,7 @@ def test_criterion_3_bridge_graph_end_to_end():
 
 
 @pytest.fixture(scope="module")
-def reference_sweep():
+def reference_rows():
     # documented protocol: sizes (50,50), p_out 0.025, p_in 0.025..0.5 in
     # steps of 0.025, S in {5,10,15}, 10 reps, committed master seed
     grid = tuple(round(0.025 * k, 12) for k in range(1, 21))
@@ -172,10 +174,24 @@ def reference_sweep():
     rows = run_sweep(config)
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
+    return config, rows
+
+
+@pytest.fixture(scope="module")
+def reference_sweep(reference_rows):
+    config, rows = reference_rows
     by_s = {}
     for row in aggregate_rows(config, rows):
         by_s.setdefault(row.s, []).append((row.ratio, row.mean_accuracy))
     return {s: sorted(points) for s, points in by_s.items()}
+
+
+def test_reference_sweep_rows_match_golden(reference_rows, tmp_path):
+    # all 600 rows of the reference sweep, byte for byte (wall_ms 0)
+    _, rows = reference_rows
+    path = tmp_path / "reference_sweep.csv"
+    write_sweep_csv(path, rows)
+    assert path.read_bytes() == (DATA / "golden_reference_sweep.csv").read_bytes()
 
 
 def isotonic_fit(values):

@@ -21,7 +21,7 @@ from tvclust.sbm import (
     select_seeds,
     write_instance,
 )
-from tvclust.graphs import PartitionError, build_graph, contiguous_partition
+from tvclust.graphs import Partition, PartitionError, build_graph, contiguous_partition
 
 
 class TestParams:
@@ -194,7 +194,52 @@ class TestChunkedDraw:
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+class TestGeneratedGraph:
+    """`generate` wraps its drawn edges in a Graph without build_graph's
+    checks; the graph is the one build_graph makes of the same edges."""
+
+    @staticmethod
+    def assert_as_built(g):
+        built = build_graph(g.num_nodes, g.edges)
+        assert g.num_nodes == built.num_nodes
+        assert g.edges.dtype == built.edges.dtype == np.int32
+        assert g.edges.flags.c_contiguous
+        assert_array_equal(g.edges, built.edges)
+        assert g.degrees.dtype == built.degrees.dtype
+        assert_array_equal(g.degrees, built.degrees)
+        for a in (g.edges, g.degrees, built.edges, built.degrees):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("params", EDGE_CASES)
+    def test_edge_cases(self, params):
+        for seed in (0, 7, 2**63 + 11):
+            self.assert_as_built(generate(params, seed)[0])
+
+    def test_random_params(self):
+        rng = np.random.default_rng(4096)
+        for _ in range(40):
+            params = random_params(rng)
+            self.assert_as_built(generate(params, int(rng.integers(2**63)))[0])
+
+
 class TestSelectSeeds:
+    def test_any_partition_draws_from_each_cluster_ids(self):
+        # each cluster's stream chooses S of its ascending node ids, however
+        # the clusters interleave
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            sizes = rng.integers(3, 9, k)
+            truth = Partition(rng.permutation(np.repeat(np.arange(1, k + 1), sizes)), k)
+            s = int(rng.integers(1, 4))
+            streams = np.random.SeedSequence(77).spawn(k)
+            expected = tuple(
+                tuple(sorted(np.random.Generator(np.random.Philox(streams[c - 1]))
+                             .choice(truth.nodes_in(c), size=s, replace=False).tolist()))
+                for c in range(1, k + 1)
+            )
+            assert select_seeds(truth, s, 77).per_cluster == expected
+
     def test_exhaustive(self):
         truth = contiguous_partition([3, 3])
         seeds = select_seeds(truth, 3, rng_seed=0)

@@ -136,14 +136,30 @@ def raw_iterate(g, seed_values, count):
     """The kernel's primal iterate after `count` sweeps from zero, before
     the clip to the seed-value range."""
     ids = np.array(sorted(seed_values))
-    values = np.array([[seed_values[i] for i in ids]], dtype=float)
-    sweeper = _Sweeper(g, ids, 1)
-    x_prev, x = np.zeros((1, g.num_nodes)), np.zeros((1, g.num_nodes))
-    y = np.zeros((1, g.num_edges))
+    sweeper = _Sweeper(g, ids, np.array([[seed_values[i] for i in ids]], dtype=float))
     for _ in range(count):
-        sweeper.sweep(x_prev, x, y, values)
-        x_prev, x = x, x_prev
-    return x[0]
+        sweeper.sweep()
+    return sweeper.x
+
+
+def reference_iterates(g, seed_ids, values):
+    """The sweep line by line, one row at a time from fresh arrays: yields
+    the (K, N) iterates after each sweep."""
+    n = g.num_nodes
+    gamma = np.ones(n)
+    gamma[g.degrees > 0] = 1.0 / g.degrees[g.degrees > 0]
+    x_prev, x = np.zeros((len(values), n)), np.zeros((len(values), n))
+    y = np.zeros((len(values), g.num_edges))
+    while True:
+        for k, row_values in enumerate(values):
+            x_tilde = 2.0 * x[k] - x_prev[k]
+            step = 0.5 * (x_tilde[g.heads] - x_tilde[g.tails])
+            y[k] = np.clip(y[k] + step, -1.0, 1.0)
+            divergence = np.bincount(g.heads, weights=y[k], minlength=n)
+            divergence -= np.bincount(g.tails, weights=y[k], minlength=n)
+            x_prev[k], x[k] = x[k], x[k] - gamma * divergence
+            x[k, seed_ids] = row_values
+        yield x
 
 
 def second_sweep_steps(g):
@@ -221,6 +237,28 @@ class TestIterate:
         # extrapolation (2, 0); dual 0 + (1/2)*2 = 1, clipped stays 1;
         # node 1 descends 0 - 1*(-1) = 1; node 0 re-clamped to 1
         assert_array_equal(raw_iterate(PATH2, {0: 1.0}, 2), [1.0, 1.0])
+
+    def test_iterates_match_line_by_line_reference(self):
+        # the kernel folds the messages' step 1/2 into the extrapolation and
+        # clips without np.clip; every iterate stays bit for bit the same
+        rng = np.random.default_rng(240)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            drawn = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
+            # up to three more nodes without an edge
+            g = build_graph(n + int(rng.integers(1, 4)), drawn.edges)
+            k = int(rng.integers(1, 5))
+            s = int(rng.integers(1, g.num_nodes + 1))
+            ids = np.sort(rng.choice(g.num_nodes, size=s, replace=False))
+            if trial % 2:
+                values = rng.uniform(-2.0, 2.0, size=(k, s))
+            else:
+                values = rng.integers(0, 2, size=(k, s)).astype(float)
+            sweeper = _Sweeper(g, ids, values)
+            reference = reference_iterates(g, ids, values)
+            for _ in range(40):
+                sweeper.sweep()
+                assert_array_equal(sweeper.x.reshape(k, -1), next(reference))
 
     def test_dual_always_clipped(self):
         # the second sweep's jump (1/2) * 2 * value clips to sign(value),

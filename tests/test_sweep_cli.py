@@ -6,13 +6,20 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvclust.cli import CliUsageError, build_parser, main
+from tvclust.cli import (
+    GRID_MAX_POINTS,
+    CliUsageError,
+    _parse_probability_grid,
+    build_parser,
+    main,
+)
 from tvclust.sbm import read_instance
 from tvclust.solver import SolverConfig
 from tvclust.sweep import (
@@ -280,6 +287,39 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert "CliUsageError" in err and "finite" in err
         assert not out.exists()
+
+    def test_huge_range_grid_refused_before_it_is_built(self, tmp_path, capsys):
+        # 0:1:1e-9 makes 10^9 + 1 points, which used to take about 800 s
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--sizes", "6,6", "--p-out", "0.1",
+                "--p-in-grid", "0:1:1e-9", "--num-seeds", "1", "--reps", "1",
+                "--rng-seed", "1", "--out", str(out)]
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: CliUsageError: argument --p-in-grid:")
+        assert "1000000001 points" in err and str(GRID_MAX_POINTS) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "0:1:1e-5", "0:0.99999:1e-5", "0.2:0.6:0.2", "0.025:0.5:0.025",
+        "0.5:0.1:0.1", "0.3:0.3:0.1", "0.1:0.7:0.3", "1e20:1e20:1",
+    ])
+    def test_range_grid_points_counted_before_they_are_made(self, text):
+        # the points of the grid loop that every accepted range goes by
+        start, stop, step = (float(x) for x in text.split(":"))
+        points = []
+        while len(points) <= GRID_MAX_POINTS:
+            v = start + len(points) * step
+            if v > stop + 1e-12:
+                break
+            points.append(round(v, 12))
+        if len(points) > GRID_MAX_POINTS:
+            with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+                _parse_probability_grid(text)
+        else:
+            assert _parse_probability_grid(text) == tuple(points)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
