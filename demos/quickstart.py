@@ -7,7 +7,6 @@ import numpy as np
 
 from tvclust.clustering import accuracy, cluster
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import SolverConfig
 
 # A 100-node graph: two blocks of 50, dense inside (p_in = 0.5), sparse
 # across (p_out = 0.025), with 5 labeled nodes per block.
@@ -18,8 +17,9 @@ print(f"instance: {instance.graph.num_nodes} nodes, "
       f"{instance.graph.num_edges} edges")
 print(f"labeled nodes: {dict(instance.seeds.labels())}")
 
-# One TV-minimization solve per cluster, argmax decode.
-result = cluster(instance.graph, instance.seeds.labels(), SolverConfig())
+# One TV-minimization solve per cluster, argmax decode, each with the
+# default sweep budget (max_iters=tvclust.solver.MAX_ITERS).
+result = cluster(instance.graph, instance.seeds.labels())
 
 acc = accuracy(result, instance.truth, instance.seeds)
 print(f"accuracy over the {instance.graph.num_nodes - 10} unlabeled nodes: {acc}")

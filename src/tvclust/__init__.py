@@ -26,14 +26,13 @@ from tvclust.graphs import (
     total_variation,
 )
 from tvclust.sbm import SbmParams, generate_instance, read_instance, write_instance
-from tvclust.solver import SolverConfig, solve
+from tvclust.solver import solve
 from tvclust.sweep import SweepConfig, aggregate_rows, run_sweep
 
 __all__ = [
     "Graph",
     "Partition",
     "SbmParams",
-    "SolverConfig",
     "SweepConfig",
     "accuracy",
     "aggregate_rows",

@@ -3,7 +3,8 @@
 Every option without a default of its own can also be supplied through a
 key=value config file (--config).  argparse converts a file value exactly
 as it converts the flag, explicit flags win over file values, and a key
-the subcommand does not read is a usage error.  All randomness flows from
+the subcommand does not read is a usage error.  An option given neither
+way leaves the library's own default in force.  All randomness flows from
 --rng-seed, so any command rerun with the same arguments produces
 byte-identical output files.
 
@@ -30,7 +31,6 @@ from tvclust.sbm import (
     read_instance,
     write_instance,
 )
-from tvclust.solver import SolverConfig
 from tvclust.sweep import (
     SweepConfig,
     aggregate_rows,
@@ -119,6 +119,12 @@ class _CommandParser(_Parser):
         return super().parse_known_args(args, namespace)
 
 
+def _given(args, *keys) -> dict:
+    """The options among `keys` given by flag or by --config; the library's
+    own defaults stand for the rest."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 def _require(args, key: str):
     value = getattr(args, key)
     if value is None:
@@ -143,11 +149,6 @@ def _draw_instance(args) -> SbmInstance:
     return generate_instance(
         params, _require(args, "num_seeds"), _require(args, "rng_seed")
     )
-
-
-def _solver_config(args) -> SolverConfig:
-    """SolverConfig from --max-iters if given, else SolverConfig's default."""
-    return SolverConfig() if args.max_iters is None else SolverConfig(args.max_iters)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,9 +230,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    instance = (_draw_instance(args) if args.instance is None
-                else read_instance(args.instance))
-    result = cluster(instance.graph, instance.seeds.labels(), _solver_config(args))
+    if args.instance is None:
+        instance = _draw_instance(args)
+    else:
+        model = _given(args, "sizes", "nodes", "p_in", "p_out", "num_seeds", "rng_seed")
+        if model:
+            flags = ", ".join("--" + key.replace("_", "-") for key in model)
+            raise CliUsageError(
+                f"--instance reads the model from its files; do not also give {flags}"
+            )
+        instance = read_instance(args.instance)
+    labels = instance.seeds.labels()
+    result = cluster(instance.graph, labels, **_given(args, "max_iters"))
     acc = accuracy(result, instance.truth, instance.seeds)
     if args.out:
         write_result_csv(args.out, result, instance.truth, instance.seeds)
@@ -251,7 +261,7 @@ def cmd_sweep(args) -> int:
         s_values=_require(args, "num_seeds"),
         reps=_require(args, "reps"),
         rng_seed=_require(args, "rng_seed"),
-        solver=_solver_config(args),
+        **_given(args, "max_iters"),
     )
     out = _require(args, "out")
     started = time.perf_counter()
@@ -275,10 +285,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     instance = read_instance(_require(args, "instance"))
-    # analyze_instance's own defaults stand for the constants not given
-    given = {key: getattr(args, key) for key in ("alpha", "beta")
-             if getattr(args, key) is not None}
-    report = analyze_instance(instance, **given)
+    report = analyze_instance(instance, **_given(args, "alpha", "beta"))
     if args.format == "text":
         text = format_analysis_text(report)
         if args.out:

@@ -6,10 +6,10 @@ run as one batch, and every node is assigned to the cluster whose score is
 largest.  A target's solve stops on a level set that meets the integer
 bound (see :mod:`tvclust.solver`): its score row is then an exact optimum,
 the average of the iterate's optimal level sets, 0/1 wherever the optimal
-cut is unique and in between where optimal cuts disagree (a row out of
-sweeps is its last iterate, clipped).  Exact ties go to the smallest
-cluster index, which keeps the decoding deterministic and independent of
-evaluation order.
+cut is unique and in between where optimal cuts disagree (a row that
+used up its ``max_iters`` sweeps is its last iterate, clipped).  Exact
+ties go to the smallest cluster index, which keeps the decoding
+deterministic and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from tvclust.graphs import Graph, Partition, PartitionError, checked_int, checked_int_array
 from tvclust.sbm import SeedSet
-from tvclust.solver import SolveDiagnostics, SolverConfig, solve_batch
+from tvclust.solver import MAX_ITERS, SolveDiagnostics, solve_batch
 
 
 class SeedLabelError(ValueError):
@@ -73,7 +73,7 @@ def _check_labels(seed_labels: dict[int, int]) -> int:
 def cluster(
     g: Graph,
     seed_labels: dict[int, int],
-    config: SolverConfig = SolverConfig(),
+    max_iters: int = MAX_ITERS,
 ) -> ClusteringResult:
     """Run K independent indicator solves and decode by argmax.
 
@@ -86,9 +86,17 @@ def cluster(
     seed_ids = sorted(seed_labels)
     labels = np.array([seed_labels[i] for i in seed_ids])
     values = _indicator_rows(labels, np.arange(1, k_max + 1))
-    scores, diagnostics = solve_batch(g, seed_ids, values, config)
+    scores, diagnostics = solve_batch(g, seed_ids, values, max_iters)
     assignment = np.argmax(scores, axis=0) + 1
     return ClusteringResult(assignment, scores, diagnostics)
+
+
+def _check_size(result: ClusteringResult, truth: Partition) -> None:
+    if result.assignment.size != truth.num_nodes:
+        raise PartitionError(
+            f"partition covers {truth.num_nodes} nodes, result has "
+            f"{result.assignment.size}"
+        )
 
 
 def accuracy(result: ClusteringResult, truth: Partition, seeds) -> float:
@@ -98,11 +106,7 @@ def accuracy(result: ClusteringResult, truth: Partition, seeds) -> float:
     0..N-1.  When every node is labeled there is nothing to score; that
     degenerate case returns 1.0.
     """
-    if result.assignment.size != truth.num_nodes:
-        raise PartitionError(
-            f"partition covers {truth.num_nodes} nodes, result has "
-            f"{result.assignment.size}"
-        )
+    _check_size(result, truth)
     seed_nodes = seeds.all_nodes if isinstance(seeds, SeedSet) else list(seeds)
     ids = checked_int_array(seed_nodes, SeedLabelError, "labeled node ids")
     if ((ids < 0) | (ids >= truth.num_nodes)).any():
@@ -120,6 +124,7 @@ RESULT_CSV_BASE_COLUMNS = ("node", "true_cluster", "pred_cluster")
 
 def write_result_csv(path, result: ClusteringResult, truth: Partition, seeds) -> None:
     """Per-node results: node,true_cluster,pred_cluster,score_1..score_K,is_seed."""
+    _check_size(result, truth)
     seed_nodes = set(seeds.all_nodes if isinstance(seeds, SeedSet) else seeds)
     k_max = result.num_clusters
     header = list(RESULT_CSV_BASE_COLUMNS)

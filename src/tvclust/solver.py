@@ -53,10 +53,11 @@ threshold length and rounded to a 2^-24 grid: a convex combination of
 optima (its TV is OPT, exactly), 0/1 wherever the optimum is unique, and a
 monotone remap of the iterate, so the solver's ordering of the nodes on
 the optimal face stays.  A target that never certifies gives its last
-checked iterate, clipped, after ``max_iters`` sweeps.  A row's
-``stop_reason`` is "level_set" when all its targets certified, else
-"budget"; its ``iters`` is the most sweeps of its targets and its
-``bound`` is sum_j (a_j - a_{j-1}) times target j's bound.  A row whose
+checked iterate, clipped, after ``max_iters`` sweeps (by default
+``MAX_ITERS``, the one place that budget is set).  A row's ``stop_reason``
+is "level_set" when all its targets certified, else "budget"; its
+``iters`` is the most sweeps of its targets and its ``bound`` is
+sum_j (a_j - a_{j-1}) times target j's bound.  A row whose
 targets all certified is an optimum and reports gap 0: its float TV and
 bound may still differ by rounding.
 
@@ -72,6 +73,7 @@ import numpy as np
 
 from tvclust.graphs import Graph, checked_int, checked_int_array, total_variation
 
+MAX_ITERS = 2000  # the default sweep budget of every solve
 _CHECK_EVERY = 8  # sweeps between two certificate checks of a row
 # rows x edges swept together: past it batching saves no dispatch cost, and
 # groups keep the (rows, E) buffers a few MB however many rows there are
@@ -87,15 +89,12 @@ class SolverConfigError(ValueError):
     """A sweep budget that is not an integer >= 1."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 2000
-
-    def __post_init__(self):
-        max_iters = checked_int(self.max_iters, SolverConfigError, "max_iters")
-        if max_iters < 1:
-            raise SolverConfigError(f"max_iters must be >= 1, got {max_iters}")
-        object.__setattr__(self, "max_iters", max_iters)
+def _checked_max_iters(max_iters) -> int:
+    """The sweep budget as an int, or SolverConfigError naming max_iters."""
+    max_iters = checked_int(max_iters, SolverConfigError, "max_iters")
+    if max_iters < 1:
+        raise SolverConfigError(f"max_iters must be >= 1, got {max_iters}")
+    return max_iters
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,7 @@ def solve_batch(
     g: Graph,
     seed_ids: np.ndarray,
     seed_values: np.ndarray,
-    config: SolverConfig = SolverConfig(),
+    max_iters: int = MAX_ITERS,
 ) -> tuple[np.ndarray, tuple[SolveDiagnostics, ...]]:
     """Solve K problems with shared labeled nodes, one per row of seed_values.
 
@@ -260,6 +259,7 @@ def solve_batch(
     always has a solution); it is reported through the `converged` flag.
     The targets of all rows are swept in groups of max(1, _ROW_EDGES // E).
     """
+    max_iters = _checked_max_iters(max_iters)
     seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
     # row k's distinct values a_0 < ... < a_m are where its sorted values
     # step up; its targets [value >= a_j], j = 1..m, come one after another
@@ -278,7 +278,7 @@ def solve_batch(
         part = slice(i, i + group)
         u = np.empty((len(targets[part]), g.num_nodes))
         iters[part], bound[part], certified[part] = _solve_rows(
-            g, seed_ids, targets[part], config.max_iters, u
+            g, seed_ids, targets[part], max_iters, u
         )
         # x = sum_j a_j (u_j - u_{j+1}), added up in ascending j; a group
         # keeps only its own targets' signals, so `above` carries u_{j-1}
@@ -346,7 +346,7 @@ def _solve_rows(g, seed_ids, targets, max_iters, signals):
 
 
 def solve(
-    g: Graph, seed_values: dict, config: SolverConfig = SolverConfig()
+    g: Graph, seed_values: dict, max_iters: int = MAX_ITERS
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Run sweeps until every threshold target certifies a level set, or
     max_iters is reached.
@@ -355,5 +355,6 @@ def solve(
     for the labeled values given as a {node: value} dict.
     """
     ids = sorted(seed_values)
-    scores, diagnostics = solve_batch(g, ids, [[seed_values[i] for i in ids]], config)
+    values = [[seed_values[i] for i in ids]]
+    scores, diagnostics = solve_batch(g, ids, values, max_iters)
     return scores[0], diagnostics[0]

@@ -8,7 +8,9 @@ in (grid, s, rep) order.
 
 Wall-clock timings are only recorded when explicitly requested, because
 they would break byte-reproducibility of the output; without the request
-the wall_ms column is 0.
+the wall_ms column is 0, and with it every run reads at least 1 ms.
+Every solve gets the config's sweep budget, ``max_iters`` (default
+:data:`tvclust.solver.MAX_ITERS`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from tvclust.clustering import accuracy, cluster
 from tvclust.graphs import checked_int
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import SolverConfig
+from tvclust.solver import MAX_ITERS, _checked_max_iters
 
 
 class SweepConfigError(ValueError):
@@ -37,10 +39,12 @@ class SweepConfig:
     s_values: tuple[int, ...]
     reps: int
     rng_seed: int
-    solver: SolverConfig = SolverConfig()
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         """Check every field, naming it; the integer fields are stored as ints."""
+        max_iters = _checked_max_iters(self.max_iters)
+
         def ints(name):
             values = getattr(self, name)
             if len(values) == 0:
@@ -67,7 +71,8 @@ class SweepConfig:
                     f"s_values entry {s} outside 1..{min(sizes)} (smallest cluster)"
                 )
         for name, value in (("cluster_sizes", sizes), ("s_values", s_values),
-                            ("reps", reps), ("rng_seed", rng_seed)):
+                            ("reps", reps), ("rng_seed", rng_seed),
+                            ("max_iters", max_iters)):
             object.__setattr__(self, name, value)
 
 
@@ -115,9 +120,10 @@ def run_one(
     instance = generate_instance(
         SbmParams(config.cluster_sizes, p_in, config.p_out), s, instance_seed
     )
-    result = cluster(instance.graph, instance.seeds.labels(), config.solver)
+    result = cluster(instance.graph, instance.seeds.labels(), config.max_iters)
     acc = accuracy(result, instance.truth, instance.seeds)
-    wall_ms = int(round(1000 * (time.perf_counter() - start))) if measure_time else 0
+    # a timed run reads at least 1 ms, so it never looks untimed
+    wall_ms = max(1, round(1000 * (time.perf_counter() - start))) if measure_time else 0
     ratio = s * p_in / config.p_out if config.p_out > 0 else float("inf")
     return SweepRow(
         s=s,

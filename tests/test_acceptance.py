@@ -49,7 +49,7 @@ from tvclust.graphs import (
     total_variation,
 )
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import SolverConfig, solve
+from tvclust.solver import solve
 from tvclust.sweep import SweepConfig, aggregate_rows, run_sweep, write_sweep_csv
 
 DATA = Path(__file__).parent / "data"
@@ -123,7 +123,7 @@ def test_criterion_2_solver_optimality():
             i: 1.0 if c == 1 else 0.0 for i, c in instance.seeds.labels().items()
         }
         oracle = mincut_tv_oracle(instance.graph, seeds)
-        x_bar, diag = solve(instance.graph, seeds, SolverConfig(max_iters=5000))
+        x_bar, diag = solve(instance.graph, seeds, max_iters=5000)
         gap = diag.tv_final - oracle.optimal_tv
         worst_gap = max(worst_gap, abs(gap))
         assert abs(gap) <= 1e-3
@@ -144,7 +144,7 @@ def test_criterion_3_bridge_graph_end_to_end():
     started = time.perf_counter()
     g = build_graph(8, BRIDGE_EDGES)
     truth = contiguous_partition([4, 4])
-    result = cluster(g, {0: 1, 7: 2}, SolverConfig(max_iters=2000))
+    result = cluster(g, {0: 1, 7: 2}, max_iters=2000)
     assert accuracy(result, truth, seeds=[0, 7]) == 1.0
     indicator = round_to_indicator(result.scores[0])
     assert_array_equal(indicator, [1, 1, 1, 1, 0, 0, 0, 0])

@@ -37,7 +37,7 @@ from tvclust.graphs import (
     total_variation,
 )
 from tvclust.sbm import SbmParams, SeedSet, SbmInstance, generate, generate_instance
-from tvclust.solver import SeedValuesError, SolverConfig
+from tvclust.solver import SeedValuesError
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -573,9 +573,7 @@ class TestWellConnected:
             ]
             if all(flags):
                 certified += 1
-                result = cluster(
-                    inst.graph, inst.seeds.labels(), SolverConfig(max_iters=2000)
-                )
+                result = cluster(inst.graph, inst.seeds.labels(), max_iters=2000)
                 assert accuracy(result, inst.truth, inst.seeds) == 1.0
         assert certified >= 5
 

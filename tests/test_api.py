@@ -3,7 +3,7 @@ import importlib
 import tvclust
 
 PUBLIC_API = [
-    "Graph", "Partition", "SbmParams", "SolverConfig", "SweepConfig",
+    "Graph", "Partition", "SbmParams", "SweepConfig",
     "accuracy", "aggregate_rows", "algebraic_connectivity", "analyze_instance",
     "build_graph", "cluster", "contiguous_partition", "generate_instance",
     "laplacian", "mincut_tv_oracle", "read_instance",
@@ -26,7 +26,7 @@ MODULE_ONLY = {
 
 def test_public_api_pinned():
     assert sorted(tvclust.__all__) == sorted(PUBLIC_API)
-    assert len(tvclust.__all__) == len(set(tvclust.__all__)) == 24
+    assert len(tvclust.__all__) == len(set(tvclust.__all__)) == 23
     for name in tvclust.__all__:
         assert getattr(tvclust, name) is not None, name
     for module, names in MODULE_ONLY.items():

@@ -18,7 +18,7 @@ import pytest
 
 from tvclust.clustering import cluster
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import SolverConfig
+from tvclust.solver import MAX_ITERS
 from tvclust.sweep import SweepConfig, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,8 +38,8 @@ def test_run_sweep_positional_call():
     # the form perfbench/workloads.py uses: six positional SweepConfig
     # fields, then run_sweep(config, num_threads, measure_time)
     config = SweepConfig((8, 8), 0.05, (0.3, 0.6), (2,), 2, 42)
-    assert config.solver == SolverConfig()
-    config = dataclasses.replace(config, solver=SolverConfig(max_iters=400))
+    assert config.max_iters == MAX_ITERS == 2000
+    config = dataclasses.replace(config, max_iters=400)
     timed = run_sweep(config, 1, True)
     untimed = run_sweep(config)
     assert sum(r.wall_ms for r in timed) > 0

@@ -14,7 +14,6 @@ from tvclust.clustering import (
 )
 from tvclust.graphs import PartitionError, build_graph, contiguous_partition
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import SolverConfig
 
 TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
 
@@ -42,7 +41,7 @@ class TestCluster:
         assert_array_equal(result.assignment, [1, 1, 1, 2, 2, 2])
 
     def test_bridge_graph(self, bridge_graph):
-        result = cluster(bridge_graph, {0: 1, 7: 2}, SolverConfig(max_iters=3000))
+        result = cluster(bridge_graph, {0: 1, 7: 2}, max_iters=3000)
         assert_array_equal(result.assignment, [1, 1, 1, 1, 2, 2, 2, 2])
 
     def test_single_cluster_degenerate(self, bridge_graph):
@@ -81,7 +80,7 @@ class TestCluster:
     def test_seed_consistency(self):
         # labeled nodes always end up in their known cluster
         inst = generate_instance(SbmParams((8, 8, 8), 0.8, 0.05), s=2, rng_seed=3)
-        result = cluster(inst.graph, inst.seeds.labels(), SolverConfig(max_iters=500))
+        result = cluster(inst.graph, inst.seeds.labels(), max_iters=500)
         for node, c in inst.seeds.labels().items():
             assert result.assignment[node] == c
 
@@ -89,24 +88,22 @@ class TestCluster:
         inst = generate_instance(SbmParams((8, 8), 0.9, 0.05), s=2, rng_seed=9)
         labels = inst.seeds.labels()
         swapped = {i: 3 - c for i, c in labels.items()}
-        cfg = SolverConfig(max_iters=800)
-        r1 = cluster(inst.graph, labels, cfg)
-        r2 = cluster(inst.graph, swapped, cfg)
+        r1 = cluster(inst.graph, labels, max_iters=800)
+        r2 = cluster(inst.graph, swapped, max_iters=800)
         # guard: strict argmax everywhere, so the tie rule plays no role
         assert (np.abs(r1.scores[0] - r1.scores[1]) > 1e-9).all()
         assert_array_equal(3 - r1.assignment, r2.assignment)
 
     def test_deterministic(self):
         inst = generate_instance(SbmParams((10, 10), 0.7, 0.1), s=2, rng_seed=4)
-        cfg = SolverConfig(max_iters=300)
-        r1 = cluster(inst.graph, inst.seeds.labels(), cfg)
-        r2 = cluster(inst.graph, inst.seeds.labels(), cfg)
+        r1 = cluster(inst.graph, inst.seeds.labels(), max_iters=300)
+        r2 = cluster(inst.graph, inst.seeds.labels(), max_iters=300)
         assert_array_equal(r1.assignment, r2.assignment)
         assert_array_equal(r1.scores, r2.scores)
 
     def test_argmax_scale_invariance(self):
         inst = generate_instance(SbmParams((6, 6), 0.9, 0.1), s=1, rng_seed=12)
-        result = cluster(inst.graph, inst.seeds.labels(), SolverConfig(max_iters=500))
+        result = cluster(inst.graph, inst.seeds.labels(), max_iters=500)
         rescaled = np.argmax(7.3 * result.scores, axis=0) + 1
         assert_array_equal(rescaled, result.assignment)
 
@@ -187,3 +184,15 @@ class TestResultCsv:
         assert sum(int(r[-1]) for r in rows[1:]) == 2
         for r in rows[1:]:
             assert r[1] == r[2]  # perfect recovery on disjoint blocks
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_size_mismatch_rejected(self, tmp_path, n):
+        # a 4-node result against a 6-node truth used to raise a bare
+        # IndexError, and an 8-node one was cut to 6 rows without a word
+        truth = contiguous_partition([3, 3])
+        result = ClusteringResult(np.ones(n, dtype=int), np.zeros((2, n)), ())
+        path = tmp_path / "result.csv"
+        message = f"partition covers 6 nodes, result has {n}"
+        with pytest.raises(PartitionError, match=message):
+            write_result_csv(path, result, truth, seeds=[0])
+        assert not path.exists()

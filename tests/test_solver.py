@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -14,13 +13,12 @@ from tvclust import solver
 from tvclust.sbm import SbmParams, generate_instance
 from tvclust.solver import (
     SeedValuesError,
-    SolverConfig,
     SolverConfigError,
     _Sweeper,
     solve,
     solve_batch,
 )
-from tvclust.sweep import derive_instance_seed
+from tvclust.sweep import SweepConfig, derive_instance_seed
 
 TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
 PATH2 = build_graph(2, [(0, 1)])
@@ -75,7 +73,7 @@ def reference_target(g, seed_values, max_iters):
     return clipped, r, best_bound, False
 
 
-def reference_solve(g, seed_values, config):
+def reference_solve(g, seed_values, max_iters):
     """The threshold split by hand: each target [value >= a_j] of the
     distinct values a_0 < ... < a_m solved by reference_target, then x =
     sum_j a_j (u_j - u_{j+1}) with u_0 = 1, u_{m+1} = 0, added in ascending
@@ -83,7 +81,7 @@ def reference_solve(g, seed_values, config):
     levels = np.unique(list(seed_values.values()))
     runs = [
         reference_target(g, {i: float(v >= a) for i, v in seed_values.items()},
-                         config.max_iters)
+                         max_iters)
         for a in levels[1:]
     ]
     u = [np.ones(g.num_nodes), *(run[0] for run in runs), np.zeros(g.num_nodes)]
@@ -129,7 +127,7 @@ def reference_first_rep():
 def sweeps(g, seed_values, max_iters):
     """Output of a 0/1 solve of max_iters < CHECK_EVERY sweeps that does not
     certify at its one check: the last iterate, clipped to [0, 1]."""
-    return solve(g, seed_values, SolverConfig(max_iters=max_iters))[0]
+    return solve(g, seed_values, max_iters)[0]
 
 
 def raw_iterate(g, seed_values, count):
@@ -215,9 +213,8 @@ class TestInitialize:
             entry_point(bridge_graph)
 
     def test_integer_valued_float_ids_accepted(self, bridge_graph):
-        cfg = SolverConfig(max_iters=30)
-        x_float, _ = solve_batch(bridge_graph, [0.0, 7.0], [[1.0, 0.0]], cfg)
-        x_int, _ = solve_batch(bridge_graph, [0, 7], [[1.0, 0.0]], cfg)
+        x_float, _ = solve_batch(bridge_graph, [0.0, 7.0], [[1.0, 0.0]], 30)
+        x_int, _ = solve_batch(bridge_graph, [0, 7], [[1.0, 0.0]], 30)
         assert_array_equal(x_float, x_int)
 
 
@@ -228,7 +225,7 @@ class TestIterate:
     def test_first_sweep(self):
         assert_array_equal(raw_iterate(PATH2, {0: 1.0}, 1), [1.0, 0.0])
         # one seed value: the constant optimum, with no sweep
-        x, diag = solve(PATH2, {0: 1.0}, SolverConfig(max_iters=1))
+        x, diag = solve(PATH2, {0: 1.0}, max_iters=1)
         assert_array_equal(x, [1.0, 1.0])
         assert (diag.iters, diag.tv_final, diag.bound, diag.gap) == (0, 0, 0, 0)
         assert diag.converged and diag.stop_reason == "level_set"
@@ -275,9 +272,9 @@ class TestIterate:
         reasons = set()
         for seeds in ({0: 1.0, 7: 0.0}, {0: 0.3, 7: -1.7}, {0: 0.3, 3: 1.0, 7: -1.7}):
             for max_iters in range(1, 21):
-                cfg = SolverConfig(max_iters=max_iters)
-                reference = reference_solve(bridge_graph, seeds, cfg)
-                assert_same_as_reference(*solve(bridge_graph, seeds, cfg), reference)
+                reference = reference_solve(bridge_graph, seeds, max_iters)
+                x, diag = solve(bridge_graph, seeds, max_iters)
+                assert_same_as_reference(x, diag, reference)
                 reasons.add(reference[-1])
         assert reasons == {"budget", "level_set"}
 
@@ -285,54 +282,60 @@ class TestIterate:
         # row 0 has one value and takes no sweep, row 1 certifies at sweep
         # 8; the caller's arrays stay
         ids, values = np.array([0, 7]), np.array([[0.0, 0.0], [0.3, -1.7]])
-        _, diagnostics = solve_batch(bridge_graph, ids, values, SolverConfig(100))
+        _, diagnostics = solve_batch(bridge_graph, ids, values, max_iters=100)
         assert diagnostics[0].iters < diagnostics[1].iters
         assert_array_equal(ids, [0, 7])
         assert_array_equal(values, [[0.0, 0.0], [0.3, -1.7]])
 
 
 class TestConfig:
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6, 1e-6])
-    def test_bad_tol_rejected(self, tol):
-        # the sweep budget is the one setting: every tolerance is refused
-        with pytest.raises(TypeError, match="tol"):
-            SolverConfig(tol=tol)
+    """The sweep budget, max_iters, is checked once in solve_batch, and by
+    SweepConfig before any run; every entry point names it."""
 
+    ENTRY_POINTS = {
+        "solve": lambda budget: solve(PATH2, {0: 1.0, 1: 0.0}, budget),
+        "solve_batch": lambda budget: solve_batch(PATH2, [0, 1], [[1.0, 0.0]], budget),
+        "cluster": lambda budget: cluster(PATH2, {0: 1, 1: 2}, budget),
+        "SweepConfig": lambda budget: SweepConfig((2, 2), 0.1, (0.5,), (1,), 1, 0,
+                                                  budget),
+    }
 
     def test_bad_max_iters_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
+        with pytest.raises(SolverConfigError, match=r"^max_iters must be >= 1, got 0$"):
+            solve(PATH2, {0: 1.0, 1: 0.0}, max_iters=0)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("max_iters", 10.5), ("max_iters", "10"), ("max_iters", None)],
-    )
-    def test_non_number_settings_named(self, field, value):
-        # each used to raise a bare TypeError
-        with pytest.raises(SolverConfigError, match=field):
-            SolverConfig(**{field: value})
+    @pytest.mark.parametrize("value", [10.5, "10", None, 0],
+                             ids=lambda value: f"max_iters-{value}")
+    def test_non_number_settings_named(self, value):
+        # each of the first three used to raise a bare TypeError
+        for name, entry_point in self.ENTRY_POINTS.items():
+            with pytest.raises(SolverConfigError, match="max_iters"):
+                entry_point(value)
+                pytest.fail(f"{name} accepted max_iters={value!r}")
 
     def test_integer_valued_max_iters_stored_as_int(self):
         # 10.0 used to be accepted and then fail in solve with a TypeError
-        config = SolverConfig(max_iters=10.0)
-        assert config == SolverConfig(max_iters=10) and type(config.max_iters) is int
-        assert solve(PATH2, {0: 1.0}, config)[1].iters <= 10
-
-    def test_one_field(self):
-        fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert fields == ["max_iters"]
+        config = self.ENTRY_POINTS["SweepConfig"](10.0)
+        assert config.max_iters == 10 and type(config.max_iters) is int
+        # a target that is still uncertified after 10 sweeps
+        g = random_connected_graph(np.random.default_rng(3), 30, 0.3)
+        x, diag = solve(g, {0: 1.0, 29: 0.0}, max_iters=10.0)
+        assert (diag.iters, diag.stop_reason) == (10, "budget")
+        x_int, diag_int = solve(g, {0: 1.0, 29: 0.0}, max_iters=10)
+        assert_array_equal(x, x_int)
+        assert diag == diag_int
 
 
 class TestSolve:
     def test_two_disjoint_triangles(self):
         g = build_graph(6, TRIANGLES)
-        x_bar, diag = solve(g, {0: 1.0, 3: 0.0}, SolverConfig(max_iters=3000))
+        x_bar, diag = solve(g, {0: 1.0, 3: 0.0}, max_iters=3000)
         assert_allclose(x_bar[:3], np.ones(3), atol=1e-3)
         assert_allclose(x_bar[3:], np.zeros(3), atol=1e-3)
         assert diag.tv_final < 1e-3
 
     def test_bridge_graph_block_indicator(self, bridge_graph):
-        x_bar, diag = solve(bridge_graph, {0: 1.0, 7: 0.0}, SolverConfig(5000))
+        x_bar, diag = solve(bridge_graph, {0: 1.0, 7: 0.0}, max_iters=5000)
         indicator = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float)
         assert_allclose(x_bar, indicator, atol=0.01)
         assert abs(diag.tv_final - 1.0) < 1e-3
@@ -340,30 +343,30 @@ class TestSolve:
 
     def test_single_seed_goes_constant(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        x_bar, diag = solve(g, {0: 1.0}, SolverConfig(max_iters=4000))
+        x_bar, diag = solve(g, {0: 1.0}, max_iters=4000)
         assert_array_equal(x_bar, np.ones(4))
         assert diag.tv_final == 0.0 and diag.iters == 0
 
     def test_constraint_residual_zero(self, bridge_graph):
-        x_bar, _ = solve(bridge_graph, {0: 0.3, 7: -1.7}, SolverConfig(max_iters=137))
+        x_bar, _ = solve(bridge_graph, {0: 0.3, 7: -1.7}, max_iters=137)
         assert x_bar[0] == 0.3 and x_bar[7] == -1.7
 
     def test_max_iters_respected(self, bridge_graph):
         # its target {0: 1, 7: 0} would certify a level set at a check after
         # sweep 6
-        _, diag = solve(bridge_graph, {0: 0.3, 7: -1.7}, SolverConfig(max_iters=5))
+        _, diag = solve(bridge_graph, {0: 0.3, 7: -1.7}, max_iters=5)
         assert diag.iters == 5
         assert not diag.converged and diag.stop_reason == "budget"
 
     def test_converged_flag(self):
         g = build_graph(6, TRIANGLES)
-        _, diag = solve(g, {0: 1.0, 3: 0.0}, SolverConfig(max_iters=5000))
+        _, diag = solve(g, {0: 1.0, 3: 0.0}, max_iters=5000)
         assert diag.converged
         assert diag.iters < 5000
 
     def test_zero_targets_stall_immediately(self):
         g = build_graph(6, TRIANGLES)
-        x_bar, diag = solve(g, {0: 0.0, 3: 0.0}, SolverConfig(max_iters=100))
+        x_bar, diag = solve(g, {0: 0.0, 3: 0.0}, max_iters=100)
         assert_array_equal(x_bar, np.zeros(6))
         assert diag.converged and diag.iters == 0
 
@@ -373,7 +376,7 @@ class TestSolve:
         # last iterate, clipped to [0, 1] and mapped onto [-1.7, 0.3]
         seeds = {0: 0.3, 7: -1.7}
         for max_iters in (3, 5, 12, 2000):
-            x, diag = solve(bridge_graph, seeds, SolverConfig(max_iters))
+            x, diag = solve(bridge_graph, seeds, max_iters)
             assert diag.iters == min(max_iters, 8)
             assert diag.converged == (diag.gap == 0) == (max_iters >= 8)
             if not diag.converged:
@@ -386,9 +389,8 @@ class TestSolve:
                 assert diag.gap == (tv - bound) / max(1.0, tv)
 
     def test_scale_equivariance_of_constraints(self, bridge_graph):
-        cfg = SolverConfig(max_iters=2000)
-        x1, _ = solve(bridge_graph, {0: 1.0, 7: 0.0}, cfg)
-        x2, _ = solve(bridge_graph, {0: 2.0, 7: 0.0}, cfg)
+        x1, _ = solve(bridge_graph, {0: 1.0, 7: 0.0}, max_iters=2000)
+        x2, _ = solve(bridge_graph, {0: 2.0, 7: 0.0}, max_iters=2000)
         assert x2[0] == 2.0 and x2[7] == 0.0
         # symmetric decode unchanged: threshold at half the seed scale
         assert_array_equal(x2 > 1.0, x1 > 0.5)
@@ -398,7 +400,7 @@ class TestSolve:
         rng = np.random.default_rng(8)
         for _ in range(10):
             g = random_connected_graph(rng, 10, 0.35)
-            x_bar, diag = solve(g, {0: 1.0, 9: 0.0}, SolverConfig(5000))
+            x_bar, diag = solve(g, {0: 1.0, 9: 0.0}, max_iters=5000)
             rounded_tv = total_variation(g, round_to_indicator(x_bar))
             assert diag.tv_final <= rounded_tv + 1e-3
 
@@ -418,14 +420,14 @@ class TestCertificate:
         rng = np.random.default_rng(16)
         outcomes = set()
         for trial in range(60):
-            config = SolverConfig(max_iters=(2, 8, 2000)[trial % 3])
+            max_iters = (2, 8, 2000)[trial % 3]
             n = int(rng.integers(5, 25))
             g = random_graph(rng, n, float(rng.uniform(0.15, 0.6)))
             k_max = int(rng.integers(2, 5))
             size = min(n, k_max + int(rng.integers(0, 4)))
             ids = rng.choice(n, size=size, replace=False)
             labels = {int(i): c % k_max + 1 for c, i in enumerate(ids)}
-            result = cluster(g, labels, config)
+            result = cluster(g, labels, max_iters)
             for k, diag in enumerate(result.diagnostics, start=1):
                 opt = mincut_tv_oracle(g, indicator_targets(labels, k)).optimal_tv
                 slack = self.slack(opt)
@@ -436,21 +438,20 @@ class TestCertificate:
                 if diag.converged:
                     # the integer bound meets the optimum, with no rounding
                     assert diag.tv_final == diag.bound == opt and diag.gap == 0
-                outcomes.add((config.max_iters, diag.stop_reason))
+                outcomes.add((max_iters, diag.stop_reason))
         assert {(2, "budget"), (2, "level_set"), (8, "budget"), (8, "level_set"),
                 (2000, "level_set")} <= outcomes
 
     @pytest.mark.parametrize("budget", [8, 40, 2000])
     def test_non_binary_seed_values(self, budget):
         rng = np.random.default_rng(17)
-        config = SolverConfig(max_iters=budget)
         for _ in range(20):
             n = int(rng.integers(6, 20))
             g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.6)))
             ids = np.sort(rng.choice(n, size=4, replace=False))
             two = [0.3, -1.7, 0.3, -1.7]
             values = np.array([two, rng.uniform(-2.0, 2.0, 4), [5.0, 5.0, 5.0, 5.0]])
-            scores, diagnostics = solve_batch(g, ids, values, config)
+            scores, diagnostics = solve_batch(g, ids, values, budget)
             for row, diag, v in zip(scores, diagnostics, values):
                 assert v.min() <= row.min() and row.max() <= v.max()
                 assert_array_equal(row[ids], v)
@@ -474,7 +475,7 @@ class TestCertificate:
             g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.6)))
             ids = np.sort(rng.choice(n, size=int(rng.integers(2, 6)), replace=False))
             values = rng.uniform(-3.0, 3.0, (4, ids.size))
-            _, diagnostics = solve_batch(g, ids, values, SolverConfig(budget))
+            _, diagnostics = solve_batch(g, ids, values, budget)
             for diag in diagnostics:
                 assert diag.gap >= 0.0
                 if diag.stop_reason == "level_set":
@@ -547,14 +548,11 @@ class TestBatchedKernel:
     """cluster(), solve_batch() and solve() give bit for bit the unbatched
     reference."""
 
-    CONFIGS = {
-        "default_budget": SolverConfig(max_iters=400),
-        "max_iters_hit": SolverConfig(max_iters=6),
-    }
+    BUDGETS = {"default_budget": 400, "max_iters_hit": 6}
 
-    @pytest.mark.parametrize("name", CONFIGS)
+    @pytest.mark.parametrize("name", BUDGETS)
     def test_cluster_matches_reference(self, name):
-        config = self.CONFIGS[name]
+        budget = self.BUDGETS[name]
         rng = np.random.default_rng(11)
         distinct_stops = budget_hits = 0
         for trial in range(8):
@@ -565,7 +563,7 @@ class TestBatchedKernel:
                 g = build_graph(16, g.edges)
                 ids = np.append(ids, 15)
             labels = {int(i): c % k_max + 1 for c, i in enumerate(ids)}
-            result = cluster(g, labels, config)
+            result = cluster(g, labels, budget)
             # the K indicator targets (one value when K = 1), a 0.3/-1.7
             # target, one of random values and a constant one, as one batch;
             # each row is bit for bit its own solve() and the reference
@@ -575,14 +573,14 @@ class TestBatchedKernel:
             targets.append({i: -0.7 for i in labels})
             seed_ids = sorted(labels)
             values = [[t[i] for i in seed_ids] for t in targets]
-            scores, diagnostics = solve_batch(g, seed_ids, values, config)
+            scores, diagnostics = solve_batch(g, seed_ids, values, budget)
             assert_array_equal(scores[:k_max], result.scores)
             assert diagnostics[:k_max] == result.diagnostics
             for row, diag, target in zip(scores, diagnostics, targets):
-                x, own = solve(g, target, config)
+                x, own = solve(g, target, budget)
                 assert_array_equal(row, x)
                 assert diag == own
-                assert_same_as_reference(row, diag, reference_solve(g, target, config))
+                assert_same_as_reference(row, diag, reference_solve(g, target, budget))
             distinct_stops += len({d.iters for d in diagnostics}) > 1
             budget_hits += sum(d.stop_reason == "budget" for d in diagnostics)
         assert distinct_stops > 0
@@ -601,21 +599,20 @@ class TestBatchedKernel:
         targets = [indicator_targets(labels, k) for k in range(1, 4)]
         targets.append({0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 1.5})
         values = [[t[i] for i in sorted(labels)] for t in targets]
-        config = SolverConfig(max_iters=60)
-        scores, diagnostics = solve_batch(g, sorted(labels), values, config)
-        assert_array_equal(scores[:3], cluster(g, labels, config).scores)
+        scores, diagnostics = solve_batch(g, sorted(labels), values, 60)
+        assert_array_equal(scores[:3], cluster(g, labels, 60).scores)
         for row, diag, target in zip(scores, diagnostics, targets):
-            assert_same_as_reference(row, diag, reference_solve(g, target, config))
+            assert_same_as_reference(row, diag, reference_solve(g, target, 60))
 
-    @pytest.mark.parametrize("name", CONFIGS)
+    @pytest.mark.parametrize("name", BUDGETS)
     def test_solve_matches_reference(self, name):
-        config = self.CONFIGS[name]
+        budget = self.BUDGETS[name]
         rng = np.random.default_rng(12)
         for _ in range(5):
             g = random_connected_graph(rng, 12, 0.35)
             seeds = {0: float(rng.normal()), 5: 1.0, 11: 0.0}
-            x_bar, diag = solve(g, seeds, config)
-            assert_same_as_reference(x_bar, diag, reference_solve(g, seeds, config))
+            x_bar, diag = solve(g, seeds, budget)
+            assert_same_as_reference(x_bar, diag, reference_solve(g, seeds, budget))
 
 
 class TestRounding:

@@ -20,13 +20,14 @@ from tvclust.cli import (
     build_parser,
     main,
 )
+from tvclust import sweep
 from tvclust.sbm import read_instance
-from tvclust.solver import SolverConfig
 from tvclust.sweep import (
     SweepConfig,
     SweepConfigError,
     aggregate_rows,
     derive_instance_seed,
+    run_one,
     run_sweep,
     write_sweep_csv,
 )
@@ -42,7 +43,7 @@ def small_config(**overrides):
         s_values=(2,),
         reps=2,
         rng_seed=42,
-        solver=SolverConfig(max_iters=400),
+        max_iters=400,
     )
     base.update(overrides)
     return SweepConfig(**base)
@@ -134,6 +135,15 @@ class TestSweepEngine:
             "s,p_in,p_out,ratio,rep,instance_seed,accuracy,iters,wall_ms"
         )
 
+    @pytest.mark.parametrize("seconds, wall_ms",
+                             [(0.0003, 1), (0.0024, 2), (0.0026, 3)])
+    def test_timed_run_reads_at_least_one_ms(self, monkeypatch, seconds, wall_ms):
+        # a timed run under 0.5 ms used to read 0, the value of an untimed
+        # row; longer runs still round to the nearest ms
+        clock = iter([0.0, seconds])
+        monkeypatch.setattr(sweep.time, "perf_counter", lambda: next(clock))
+        assert run_one(small_config(), 0, 0, 0, measure_time=True).wall_ms == wall_ms
+
 
 class TestCliGenerate:
     def test_writes_instance(self, tmp_path, capsys):
@@ -224,6 +234,32 @@ class TestCliCluster:
                      "--num-seeds", "1", "--rng-seed", "5"])
         assert code == 0
         assert "accuracy=1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flags", "config"])
+    def test_instance_with_model_options_is_usage_error(self, tmp_path, capsys,
+                                                        by_config):
+        # each model option used to be ignored without a word
+        inst = tmp_path / "inst"
+        main(["generate", "--sizes", "3,3", "--p-in", "1", "--p-out", "0",
+              "--num-seeds", "1", "--rng-seed", "7", "--out", str(inst)])
+        capsys.readouterr()
+        options = {"p-in": "0.9", "sizes": "5,5,5", "num-seeds": "4",
+                   "rng-seed": "99", "nodes": "8", "p-out": "0.1"}
+        argv = ["cluster", "--instance", str(inst), "--max-iters", "400",
+                "--out", str(tmp_path / "result.csv")]
+        if by_config:
+            cfg = tmp_path / "model.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in options.items()))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [text for k, v in options.items() for text in (f"--{k}", v)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: CliUsageError: --instance reads the model from its files; "
+            "do not also give --sizes, --nodes, --p-in, --p-out, --num-seeds, "
+            "--rng-seed\n"
+        )
+        assert not (tmp_path / "result.csv").exists()
 
     def test_summary_reports_worst_gap(self, capsys):
         argv = ["cluster", "--sizes", "30,30", "--p-in", "0.3", "--p-out", "0.02",
@@ -378,13 +414,21 @@ class TestCliSweep:
         ["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
          "--num-seeds", "1", "--rng-seed", "5", "--max-iters", "0"],
         TestCliSweep.ARGV + ["--max-iters", "0", "--out", "unused.csv"],
+        ["cluster", "--sizes", "4,4", "--p-in", "1", "--p-out", "0",
+         "--num-seeds", "1", "--rng-seed", "5", "--config", "budget.cfg"],
+        TestCliSweep.ARGV[:-2] + ["--config", "budget.cfg", "--out", "unused.csv"],
     ],
-    ids=["cluster_max_iters", "sweep_max_iters"],
+    ids=["cluster_max_iters", "sweep_max_iters",
+         "cluster_config_max_iters", "sweep_config_max_iters"],
 )
 def test_bad_solver_setting_named_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    Path("budget.cfg").write_text("max-iters=0\n")
     assert main(argv) == 1
-    assert "error: SolverConfigError: " in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: SolverConfigError: max_iters must be >= 1, got 0\n"
+    )
+    assert not Path("unused.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "sweep"])
