@@ -6,7 +6,7 @@ curves climb from the 0.5 chance floor toward 1.0 as the seed-scaled
 ratio grows, and approximately line up across S when plotted against it.
 
 The full-size protocol (blocks of 50, p_in up to 0.5, S in {5,10,15},
-10 reps) runs in about a minute through the CLI:
+10 reps, 600 runs) takes one to two seconds through the CLI:
 
     tvclust sweep --sizes 50,50 --p-out 0.025 --p-in-grid 0.025:0.5:0.025 \
         --num-seeds 5,10,15 --reps 10 --rng-seed 1 --out sweep.csv

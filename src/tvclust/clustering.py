@@ -21,7 +21,7 @@ import numpy as np
 
 from tvclust.graphs import Graph, Partition, PartitionError, checked_int, checked_int_array
 from tvclust.sbm import SeedSet
-from tvclust.solver import MAX_ITERS, SolveDiagnostics, solve_batch
+from tvclust.solver import MAX_ITERS, SolveDiagnostics, _solve_many
 
 
 class SeedLabelError(ValueError):
@@ -82,13 +82,22 @@ def cluster(
     stacked score matrix breaks exact ties toward the smallest cluster
     index.
     """
-    k_max = _check_labels(seed_labels)
-    seed_ids = sorted(seed_labels)
-    labels = np.array([seed_labels[i] for i in seed_ids])
-    values = _indicator_rows(labels, np.arange(1, k_max + 1))
-    scores, diagnostics = solve_batch(g, seed_ids, values, max_iters)
-    assignment = np.argmax(scores, axis=0) + 1
-    return ClusteringResult(assignment, scores, diagnostics)
+    return _cluster_many([(g, seed_labels)], max_iters)[0]
+
+
+def _cluster_many(runs, max_iters: int) -> list[ClusteringResult]:
+    """cluster() of each (graph, seed_labels) run, all graphs with the same
+    N, with the solves of all runs as one batch."""
+    problems = []
+    for g, seed_labels in runs:
+        k_max = _check_labels(seed_labels)
+        seed_ids = sorted(seed_labels)
+        labels = np.array([seed_labels[i] for i in seed_ids])
+        problems.append((g, seed_ids, _indicator_rows(labels, np.arange(1, k_max + 1))))
+    return [
+        ClusteringResult(np.argmax(scores, axis=0) + 1, scores, diagnostics)
+        for scores, diagnostics in _solve_many(problems, max_iters)
+    ]
 
 
 def _check_size(result: ClusteringResult, truth: Partition) -> None:

@@ -3,7 +3,9 @@
 Finds a signal of minimum total variation among all signals that take
 prescribed values on a labeled node set M.  :func:`solve_batch` runs K such
 problems on one graph and labeled set (row k of a (K, S) matrix holds
-problem k's values).
+problem k's values); it is the one-graph case of ``_solve_many``, which
+runs such batches for many graphs with the same N at once (the runs of a
+sweep).
 
 A row with distinct labeled values a_0 < ... < a_m is split into the m 0/1
 targets [value >= a_j].  If u_j is an optimum of target j, of TV C_j, then
@@ -13,7 +15,8 @@ targets [value >= a_j].  If u_j is an optimum of target j, of TV C_j, then
 is a_i on a node labeled a_i, exactly (one term is a_i, the others 0), and
 TV(x) <= sum_j (a_j - a_{j-1}) C_j, which by the coarea formula is the
 optimum of the row.  A row with one value is that constant, with no sweep.
-The targets of all rows run as one batch, in groups that share one set of
+The targets of all rows of all graphs run as one batch, in groups of as
+many as fit in ``_ROW_EDGES`` summed edges, each group sharing one set of
 in-place arrays.  One sweep of the diagonally preconditioned primal-dual
 method of Chambolle and Pock (2011), with gamma_i = 1/d_i, is
 
@@ -29,11 +32,13 @@ fl(2 x_i - x_i^prev) / 2 and h_head - h_tail = fl(x~_head - x~_tail) / 2.
 The clips are in-place ``np.minimum`` and ``np.maximum``, which equal
 ``np.clip`` except on -0.0, a value no iterate or message takes (they
 start at +0.0, and a sum or difference is -0.0 only if its first term
-is).  A group's rows lie one after another in flat arrays, gathered at
-flattened indices, and r is one ``np.bincount`` over the heads minus one
-over the tails; bincount adds in input order, so each row is summed
-exactly as in a one-row solve and its result depends neither on K nor on
-its group.
+is).  A group's rows lie one after another in flat arrays, each row of N
+nodes with its own graph's edges and labeled nodes, gathered at flattened
+indices, and r is one ``np.bincount`` over the heads minus one over the
+tails; bincount adds in input order, and every per-row reduction and sort
+runs on the row alone, so each row is computed exactly as in a one-row
+solve and its result depends neither on K, nor on its group, nor on the
+other graphs in it.
 
 The stop is certified.  For |y_e| <= 1, TV(x) >= sum_i r_i x_i for every
 x.  Clipping a signal to [0, 1] never raises its TV and keeps the 0/1
@@ -75,8 +80,9 @@ from tvclust.graphs import Graph, checked_int, checked_int_array, total_variatio
 
 MAX_ITERS = 2000  # the default sweep budget of every solve
 _CHECK_EVERY = 8  # sweeps between two certificate checks of a row
-# rows x edges swept together: past it batching saves no dispatch cost, and
-# groups keep the (rows, E) buffers a few MB however many rows there are
+# summed edges of the targets swept together: past it batching saves no
+# dispatch cost, and groups keep their edge buffers a few MB however many
+# targets there are
 _ROW_EDGES = 1 << 16
 _NO_CUT = np.iinfo(np.int64).max  # the least cut of a row ignores this entry
 
@@ -134,21 +140,27 @@ def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarra
 
 class _Sweeper:
     """The k 0/1 targets swept together: step sizes, flattened edge and
-    seed indices, iterates, messages and work buffers.  Every array is
-    flat, row after row, so dropping rows keeps a leading slice, and every
-    buffer is allocated once: a fresh array per sweep costs a page fault
-    per 4 KiB whenever it is returned to the system.
+    seed indices, iterates, messages and work buffers.  Row i solves
+    targets[i], a (graph, seed ids, 0/1 values) triple; all graphs have the
+    same N.  Every array is flat, row after row, and every work buffer is
+    allocated once: a fresh array per sweep costs a page fault per 4 KiB
+    whenever it is returned to the system.
     """
 
-    def __init__(self, g: Graph, seed_ids: np.ndarray, targets: np.ndarray):
-        k, n = targets.shape[0], g.num_nodes
+    def __init__(self, targets):
+        k, n = len(targets), targets[0][0].num_nodes
         self.row_start = np.arange(0, k * n, n)[:, None]  # row i's flat offset
-        self.heads = (g.heads + self.row_start).ravel()
-        self.tails = (g.tails + self.row_start).ravel()
-        self.seeds = (seed_ids + self.row_start).ravel()
-        self.values = targets.astype(np.float64).ravel()
-        gamma = 1.0 / np.maximum(g.degrees, 1)  # 1 on isolated nodes
-        self.gamma = gamma[None].repeat(k, axis=0).ravel()
+        graphs, ids, values = zip(*targets)
+        start = self.row_start[:, 0]  # int64, so the int32 edge ids widen
+        self.heads = np.concatenate([g.heads + s for g, s in zip(graphs, start)])
+        self.tails = np.concatenate([g.tails + s for g, s in zip(graphs, start)])
+        self.seeds = np.concatenate([i + s for i, s in zip(ids, start)])
+        self.values = np.concatenate(values).astype(np.float64)
+        # 1 on isolated nodes
+        self.gamma = np.concatenate([1.0 / np.maximum(g.degrees, 1) for g in graphs])
+        # per row: how many of the flat edge and seed entries are its own
+        self.edges = np.array([g.num_edges for g in graphs])
+        self.labeled = np.array([i.size for i in ids])
         self.index = np.arange(k * n).reshape(k, n)
         self.x_prev, self.x = np.zeros(k * n), np.zeros(k * n)
         self.y = np.zeros(self.heads.size)
@@ -157,15 +169,27 @@ class _Sweeper:
         self.divergence = None  # r = div y of the last sweep
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        """Sweep only the rows where `keep` is true from now on."""
-        k, m = keep.size, int(keep.sum())
-        for name in ("x_prev", "x", "y", "values"):
+        """Sweep only the rows where `keep` is true from now on.
+
+        A kept row moves up past the rows dropped before it: its edges and
+        seeds keep their order, and their flat node indices drop by N per
+        such row.
+        """
+        k, m, n = keep.size, int(keep.sum()), self.x.size // keep.size
+        for name in ("x_prev", "x", "gamma"):
             rows = getattr(self, name).reshape(k, -1)
             rows[:m] = rows[keep]
             setattr(self, name, rows[:m].reshape(-1))
-        for name in ("heads", "tails", "seeds", "gamma", "half", "diff", "at_tails"):
-            a = getattr(self, name)
-            setattr(self, name, a[: a.size // k * m])
+        shift = np.cumsum(~keep)[keep] * n
+        on_edges, on_seeds = np.repeat(keep, self.edges), np.repeat(keep, self.labeled)
+        self.edges, self.labeled = self.edges[keep], self.labeled[keep]
+        self.y = self.y[on_edges]
+        self.heads = self.heads[on_edges] - np.repeat(shift, self.edges)
+        self.tails = self.tails[on_edges] - np.repeat(shift, self.edges)
+        self.seeds = self.seeds[on_seeds] - np.repeat(shift, self.labeled)
+        self.values = self.values[on_seeds]
+        self.half = self.half[: self.x.size]
+        self.diff, self.at_tails = self.diff[: self.y.size], self.at_tails[: self.y.size]
         self.row_start, self.index = self.row_start[:m], self.index[:m]
 
     def sweep(self) -> None:
@@ -259,33 +283,54 @@ def solve_batch(
     always has a solution); it is reported through the `converged` flag.
     The targets of all rows are swept in groups of max(1, _ROW_EDGES // E).
     """
+    return _solve_many([(g, seed_ids, seed_values)], max_iters)[0]
+
+
+def _solve_many(problems, max_iters: int):
+    """solve_batch of each (graph, seed_ids, seed_values) problem, all
+    graphs with the same N, as one batch: the targets of all problems, in
+    order, are swept in groups of as many as fit in _ROW_EDGES summed
+    edges (one alone if it does not fit).  Returns one (scores,
+    diagnostics) pair per problem."""
     max_iters = _checked_max_iters(max_iters)
-    seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
-    # row k's distinct values a_0 < ... < a_m are where its sorted values
-    # step up; its targets [value >= a_j], j = 1..m, come one after another
-    ascending = np.sort(seed_values, axis=1)
-    owner, j = np.nonzero(ascending[:, 1:] != ascending[:, :-1])
-    lo, hi = ascending[owner, j], ascending[owner, j + 1]  # a_{j-1} and a_j
-    targets = seed_values[owner] >= hi[:, None]
-    count = np.bincount(owner, minlength=len(seed_values)).tolist()
+    scores = []  # per problem
+    rows, count = [], []  # per row of every problem: (graph, signal), targets
+    targets, owner, lo, hi = [], [], [], []  # per target
+    for g, seed_ids, seed_values in problems:
+        seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
+        # row k's distinct values a_0 < ... < a_m are where its sorted values
+        # step up; its targets [value >= a_j], j = 1..m, come one after another
+        ascending = np.sort(seed_values, axis=1)
+        row, j = np.nonzero(ascending[:, 1:] != ascending[:, :-1])
+        lo.append(ascending[row, j])  # a_{j-1}
+        hi.append(ascending[row, j + 1])  # a_j
+        targets += [(g, seed_ids, t) for t in seed_values[row] >= hi[-1][:, None]]
+        owner.append(row + len(rows))  # rows are numbered across problems
+        count += np.bincount(row, minlength=len(seed_values)).tolist()
+        scores.append(np.repeat(ascending[:, :1], g.num_nodes, axis=1))
+        rows += [(g, x) for x in scores[-1]]
+    owner, lo, hi = (np.concatenate(a) for a in (owner, lo, hi))
+    starts, total = [], 0  # the first target of each group
+    for t, (g, _, _) in enumerate(targets):
+        if not starts or total + g.num_edges > _ROW_EDGES:
+            starts.append(t)
+            total = 0
+        total += g.num_edges
     last = np.cumsum(count).tolist()  # one past each row's last target
     iters, bound, certified = (np.empty(len(targets), t) for t in (int, float, bool))
-    scores = np.repeat(ascending[:, :1], g.num_nodes, axis=1)
-    term = np.empty(g.num_nodes)
+    term = np.empty(scores[0].shape[1])
     owner_of, lo_of, hi_of = owner.tolist(), lo.tolist(), hi.tolist()
-    group = max(1, _ROW_EDGES // max(1, g.num_edges))
-    for i in range(0, len(targets), group):
-        part = slice(i, i + group)
-        u = np.empty((len(targets[part]), g.num_nodes))
-        iters[part], bound[part], certified[part] = _solve_rows(
-            g, seed_ids, targets[part], max_iters, u
+    for i, stop in zip(starts, starts[1:] + [len(targets)]):
+        u = np.empty((stop - i, term.size))
+        iters[i:stop], bound[i:stop], certified[i:stop] = _solve_rows(
+            targets[i:stop], max_iters, u
         )
         # x = sum_j a_j (u_j - u_{j+1}), added up in ascending j; a group
         # keeps only its own targets' signals, so `above` carries u_{j-1}
         for t, u_j in enumerate(u, i):
             k = owner_of[t]
             first = t == 0 or owner_of[t - 1] != k
-            row = scores[k]
+            row = rows[k][1]
             np.subtract(1.0 if first else above, u_j, out=term)
             term *= lo_of[t]
             np.add(0.0 if first else row, term, out=row)
@@ -298,7 +343,7 @@ def solve_batch(
     diagnostics = []
     for k, end in enumerate(last):
         mine = slice(end - count[k], end)
-        tv = total_variation(g, scores[k])
+        tv = total_variation(*rows[k])
         lower = float(weighted[mine].sum())
         done = all(certified_of[mine])
         diagnostics.append(SolveDiagnostics(
@@ -306,16 +351,17 @@ def solve_batch(
             0.0 if done else (tv - lower) / max(1.0, tv),
             "level_set" if done else "budget",
         ))
-    return scores, tuple(diagnostics)
+    ends = np.cumsum([len(s) for s in scores]).tolist()
+    return [(s, tuple(diagnostics[end - len(s):end])) for s, end in zip(scores, ends)]
 
 
-def _solve_rows(g, seed_ids, targets, max_iters, signals):
-    """Sweep the (k, S) boolean targets until each certifies a level set or
-    the budget runs out, writing their signals to the (k, N) `signals`.
-    Returns per target its sweep count, its bound (the rounded-up one if
-    it certified) and whether it certified."""
-    k = targets.shape[0]
-    sweeper = _Sweeper(g, seed_ids, targets)
+def _solve_rows(targets, max_iters, signals):
+    """Sweep the (graph, seed ids, 0/1 values) targets until each
+    certifies a level set or the budget runs out, writing their signals to
+    the (k, N) `signals`.  Returns per target its sweep count, its bound
+    (the rounded-up one if it certified) and whether it certified."""
+    k = signals.shape[0]
+    sweeper = _Sweeper(targets)
     rows = np.arange(k)  # the target each active row solves
     best = np.full(k, -np.inf)  # the greatest bound of each active row
     bound, iters = np.empty(k), np.full(k, max_iters)

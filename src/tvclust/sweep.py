@@ -3,12 +3,16 @@
 Every run (one generated instance, one clustering, one accuracy figure)
 has its own RNG stream derived from the master seed through the spawn key
 (grid index, s index, rep index), so adding grid points or reordering the
-schedule never changes any existing row.  Rows are computed one at a time,
-in (grid, s, rep) order.
+schedule never changes any existing row.  Runs are generated one at a
+time, in (grid, s, rep) order, and queued; the solves of a queue of runs,
+with the same N, run as one batch of the solver, in which every row is
+computed exactly as in a run of its own (:func:`run_one`).
 
 Wall-clock timings are only recorded when explicitly requested, because
 they would break byte-reproducibility of the output; without the request
-the wall_ms column is 0, and with it every run reads at least 1 ms.
+the wall_ms column is 0.  With it a row reads its run's own generation and
+accuracy time plus an equal share of its batch's clustering, at least
+1 ms, and the column adds up to about the sweep's wall time.
 Every solve gets the config's sweep budget, ``max_iters`` (default
 :data:`tvclust.solver.MAX_ITERS`).
 """
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.clustering import accuracy, cluster
+from tvclust.clustering import _cluster_many, accuracy, cluster
 from tvclust.graphs import checked_int
 from tvclust.sbm import SbmParams, generate_instance
-from tvclust.solver import MAX_ITERS, _checked_max_iters
+from tvclust.solver import _ROW_EDGES, MAX_ITERS, _checked_max_iters
 
 
 class SweepConfigError(ValueError):
@@ -110,20 +114,18 @@ def derive_instance_seed(master_seed: int, grid_i: int, s_i: int, rep: int) -> i
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_one(
-    config: SweepConfig, grid_i: int, s_i: int, rep: int, measure_time: bool = False
-) -> SweepRow:
+def _instance(config: SweepConfig, grid_i: int, s_i: int, rep: int):
+    """The run's instance seed and instance, drawn from its own stream."""
+    instance_seed = derive_instance_seed(config.rng_seed, grid_i, s_i, rep)
+    params = SbmParams(config.cluster_sizes, config.p_in_grid[grid_i], config.p_out)
+    return instance_seed, generate_instance(params, config.s_values[s_i], instance_seed)
+
+
+def _row(config, key, instance_seed, acc, result, seconds, measure_time) -> SweepRow:
+    """The row of run key = (grid_i, s_i, rep), which took `seconds`."""
+    grid_i, s_i, rep = key
     p_in = config.p_in_grid[grid_i]
     s = config.s_values[s_i]
-    instance_seed = derive_instance_seed(config.rng_seed, grid_i, s_i, rep)
-    start = time.perf_counter()
-    instance = generate_instance(
-        SbmParams(config.cluster_sizes, p_in, config.p_out), s, instance_seed
-    )
-    result = cluster(instance.graph, instance.seeds.labels(), config.max_iters)
-    acc = accuracy(result, instance.truth, instance.seeds)
-    # a timed run reads at least 1 ms, so it never looks untimed
-    wall_ms = max(1, round(1000 * (time.perf_counter() - start))) if measure_time else 0
     ratio = s * p_in / config.p_out if config.p_out > 0 else float("inf")
     return SweepRow(
         s=s,
@@ -134,23 +136,72 @@ def run_one(
         instance_seed=instance_seed,
         accuracy=acc,
         iters=max(d.iters for d in result.diagnostics),
-        wall_ms=wall_ms,
+        # a timed run reads at least 1 ms, so it never looks untimed
+        wall_ms=max(1, round(1000 * seconds)) if measure_time else 0,
     )
+
+
+def run_one(
+    config: SweepConfig, grid_i: int, s_i: int, rep: int, measure_time: bool = False
+) -> SweepRow:
+    """One run on its own: generate, cluster and score.  run_sweep gives
+    the same row, the solve aside, which it batches with other runs'."""
+    start = time.perf_counter()
+    instance_seed, instance = _instance(config, grid_i, s_i, rep)
+    result = cluster(instance.graph, instance.seeds.labels(), config.max_iters)
+    acc = accuracy(result, instance.truth, instance.seeds)
+    seconds = time.perf_counter() - start
+    return _row(config, (grid_i, s_i, rep), instance_seed, acc, result, seconds,
+                measure_time)
 
 
 def run_sweep(
     config: SweepConfig, num_threads: int = 1, measure_time: bool = False
 ) -> list[SweepRow]:
-    """All reps x grid x s runs, computed and returned in (grid, s, rep) order."""
+    """All reps x grid x s runs, returned in (grid, s, rep) order.
+
+    Runs are generated one at a time and queued.  The queue is clustered
+    as one batch whenever the next run's target edges (K times its edges)
+    would take it past the solver's _ROW_EDGES, and after the last run, so
+    a sweep holds at most one group of the solver's buffers, however many
+    runs it has.
+    """
     # num_threads stays only for perfbench's positional run_sweep(config, 1, True)
     if num_threads != 1:
         raise SweepConfigError(f"num_threads={num_threads!r}: sweeps run on one thread")
-    return [
-        run_one(config, gi, si, rep, measure_time)
-        for gi in range(len(config.p_in_grid))
-        for si in range(len(config.s_values))
-        for rep in range(config.reps)
-    ]
+    rows, queue, queued = [], [], 0
+    for gi in range(len(config.p_in_grid)):
+        for si in range(len(config.s_values)):
+            for rep in range(config.reps):
+                start = time.perf_counter()
+                instance_seed, instance = _instance(config, gi, si, rep)
+                seconds = time.perf_counter() - start
+                edges = len(config.cluster_sizes) * instance.graph.num_edges
+                if queue and queued + edges > _ROW_EDGES:
+                    rows += _scored(config, queue, measure_time)
+                    queue, queued = [], 0
+                queue.append(((gi, si, rep), instance_seed, instance, seconds))
+                queued += edges
+    return rows + _scored(config, queue, measure_time)
+
+
+def _scored(config, queue, measure_time) -> list[SweepRow]:
+    """The rows of the queued runs, clustered as one batch.  A row's time
+    is its run's generation and accuracy time plus an equal share of the
+    batch's clustering."""
+    start = time.perf_counter()
+    results = _cluster_many(
+        [(instance.graph, instance.seeds.labels()) for _, _, instance, _ in queue],
+        config.max_iters,
+    )
+    share = (time.perf_counter() - start) / len(queue)
+    rows = []
+    for (key, instance_seed, instance, seconds), result in zip(queue, results):
+        start = time.perf_counter()
+        acc = accuracy(result, instance.truth, instance.seeds)
+        seconds += share + time.perf_counter() - start
+        rows.append(_row(config, key, instance_seed, acc, result, seconds, measure_time))
+    return rows
 
 
 def aggregate_rows(config: SweepConfig, rows: list[SweepRow]) -> list[AggregateRow]:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_connected_graph, random_graph, round_to_indicator
 from tvclust.analysis import mincut_tv_oracle
-from tvclust.clustering import cluster, indicator_targets
+from tvclust.clustering import _cluster_many, cluster, indicator_targets
 from tvclust.graphs import build_graph, total_variation
 from tvclust import solver
 from tvclust.sbm import SbmParams, generate_instance
@@ -134,7 +134,7 @@ def raw_iterate(g, seed_values, count):
     """The kernel's primal iterate after `count` sweeps from zero, before
     the clip to the seed-value range."""
     ids = np.array(sorted(seed_values))
-    sweeper = _Sweeper(g, ids, np.array([[seed_values[i] for i in ids]], dtype=float))
+    sweeper = _Sweeper([(g, ids, np.array([seed_values[i] for i in ids], dtype=float))])
     for _ in range(count):
         sweeper.sweep()
     return sweeper.x
@@ -251,7 +251,7 @@ class TestIterate:
                 values = rng.uniform(-2.0, 2.0, size=(k, s))
             else:
                 values = rng.integers(0, 2, size=(k, s)).astype(float)
-            sweeper = _Sweeper(g, ids, values)
+            sweeper = _Sweeper([(g, ids, row) for row in values])
             reference = reference_iterates(g, ids, values)
             for _ in range(40):
                 sweeper.sweep()
@@ -613,6 +613,86 @@ class TestBatchedKernel:
             seeds = {0: float(rng.normal()), 5: 1.0, 11: 0.0}
             x_bar, diag = solve(g, seeds, budget)
             assert_same_as_reference(x_bar, diag, reference_solve(g, seeds, budget))
+
+
+def many_graph_runs():
+    """(graph, seed_labels) runs on N = 100 nodes: two-cluster SBM draws of
+    about 120 to 1300 edges with S = 1, 5 and 15, a K = 3 draw, and a draw
+    whose node 99 lost its edges and is labeled."""
+    runs = []
+    for i, (p_in, s) in enumerate([(0.025, 5), (0.1, 1), (0.2, 15), (0.35, 5),
+                                   (0.5, 15), (0.05, 15), (0.5, 1)]):
+        params = SbmParams((50, 50), p_in, 0.025)
+        instance = generate_instance(params, s, derive_instance_seed(5, i, 0, 0))
+        runs.append((instance.graph, instance.seeds.labels()))
+    instance = generate_instance(SbmParams((34, 33, 33), 0.3, 0.05), 3, 77)
+    runs.append((instance.graph, instance.seeds.labels()))
+    g, labels = runs[3]
+    kept = [e for e in g.edges.tolist() if 99 not in e]
+    runs.append((build_graph(100, kept), {**labels, 99: 2}))
+    return runs
+
+
+class TestManyGraphs:
+    """The runs of many graphs with the same N, solved as one batch, give
+    bit for bit their solo cluster(): bincount adds each bin in input order
+    and every row is sorted and summed on its own."""
+
+    @pytest.mark.parametrize("budget, row_edges", [
+        (2000, solver._ROW_EDGES),  # every target in one group
+        (2000, 2500),  # groups split runs, the K = 3 run too
+        (20, 2500),  # some rows run out of budget
+    ])
+    def test_batch_matches_solo_cluster(self, monkeypatch, budget, row_edges):
+        runs = many_graph_runs()
+        edges = [g.num_edges for g, _ in runs]
+        assert min(edges) < 150 and max(edges) > 1200
+        assert runs[-1][0].degrees[99] == 0
+        groups = []  # per group, the edges of each of its targets
+
+        def recorded(targets, max_iters, signals):
+            groups.append([g.num_edges for g, _, _ in targets])
+            return solve_rows(targets, max_iters, signals)
+
+        solve_rows = solver._solve_rows
+        monkeypatch.setattr(solver, "_solve_rows", recorded)
+        monkeypatch.setattr(solver, "_ROW_EDGES", row_edges)
+        batched = _cluster_many(runs, budget)
+        # the targets in order, each group as many as fit (one if none does)
+        assert sum(groups, []) == [g.num_edges for g, labels in runs
+                                   for _ in set(labels.values())]
+        for group, after in zip(groups, groups[1:] + [[row_edges]]):
+            assert sum(group) <= row_edges or len(group) == 1
+            assert sum(group) + after[0] > row_edges
+        assert len(groups) == (1 if row_edges > 10_000 else 8)
+        monkeypatch.undo()
+        reasons, iters = set(), set()
+        for (g, labels), result in zip(runs, batched):
+            solo = cluster(g, labels, budget)
+            assert_array_equal(result.scores, solo.scores)
+            assert_array_equal(result.assignment, solo.assignment)
+            assert result.diagnostics == solo.diagnostics
+            reasons |= {d.stop_reason for d in solo.diagnostics}
+            iters |= {d.iters for d in solo.diagnostics}
+        assert len(iters) > 2  # rows certify at different checks
+        assert reasons == ({"level_set", "budget"} if budget < 100 else {"level_set"})
+
+    def test_multi_valued_rows_match_solve_batch(self):
+        # rows of several values, whose thresholds fill two groups, and of
+        # one value; S differs by graph
+        rng = np.random.default_rng(29)
+        problems = []
+        for g, labels in many_graph_runs():
+            ids = sorted(labels)
+            values = np.round(rng.uniform(-2.0, 2.0, (3, len(ids))), 1)
+            values[1] = 0.5
+            problems.append((g, ids, values))
+        for (g, ids, values), (scores, diagnostics) in zip(
+            problems, solver._solve_many(problems, 300)
+        ):
+            solo_scores, solo_diagnostics = solve_batch(g, ids, values, 300)
+            assert_array_equal(scores, solo_scores)
+            assert diagnostics == solo_diagnostics
 
 
 class TestRounding:

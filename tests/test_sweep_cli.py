@@ -49,6 +49,19 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+def batch_edges(monkeypatch):
+    """Record, per batch that run_sweep clusters, each run's target edges
+    (K times its edges); returns the list it fills."""
+    batches, cluster_many = [], sweep._cluster_many
+
+    def recorded(runs, max_iters):
+        batches.append([len(set(labels.values())) * g.num_edges for g, labels in runs])
+        return cluster_many(runs, max_iters)
+
+    monkeypatch.setattr(sweep, "_cluster_many", recorded)
+    return batches
+
+
 class TestSweepEngine:
     def test_row_order_and_count(self):
         rows = run_sweep(small_config())
@@ -143,6 +156,50 @@ class TestSweepEngine:
         clock = iter([0.0, seconds])
         monkeypatch.setattr(sweep.time, "perf_counter", lambda: next(clock))
         assert run_one(small_config(), 0, 0, 0, measure_time=True).wall_ms == wall_ms
+        # in a batched sweep a row reads its run's generation and accuracy
+        # time plus an equal share of its batch's clustering: here a
+        # quarter of `seconds` each, and half of `seconds` per run in the
+        # batch, on a clock that moves only inside those steps
+        now = [0.0]
+
+        def taking(fn, seconds_per_run, batched=False):
+            def step(*args):
+                now[0] += seconds_per_run * (len(args[0]) if batched else 1)
+                return fn(*args)
+            return step
+
+        monkeypatch.setattr(sweep.time, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(sweep, "_ROW_EDGES", 150)
+        batches = batch_edges(monkeypatch)
+        for name, share in (("generate_instance", 0.25), ("accuracy", 0.25)):
+            monkeypatch.setattr(sweep, name, taking(getattr(sweep, name), share * seconds))
+        monkeypatch.setattr(sweep, "_cluster_many",
+                            taking(sweep._cluster_many, 0.5 * seconds, batched=True))
+        rows = run_sweep(small_config(reps=5), 1, True)
+        assert len({len(batch) for batch in batches}) > 1
+        assert [r.wall_ms for r in rows] == [wall_ms] * 10
+        assert now[0] == pytest.approx(10 * seconds)  # the sweep's wall time
+
+    @pytest.mark.parametrize("reps, row_edges", [(3, 150), (12, 150), (4, 60)])
+    def test_batches_bounded_rows_in_order(self, monkeypatch, reps, row_edges):
+        # a batch is clustered before the run that would take its target
+        # edges past _ROW_EDGES, so however many reps, no batch holds more
+        # (a run that alone holds more is a batch of its own); every row is
+        # the row of its run on its own, in (grid, s, rep) order
+        monkeypatch.setattr(sweep, "_ROW_EDGES", row_edges)
+        batches = batch_edges(monkeypatch)
+        config = small_config(p_in_grid=(0.1, 0.6), s_values=(1, 3), reps=reps)
+        rows = run_sweep(config)
+        assert all(sum(batch) <= row_edges or len(batch) == 1 for batch in batches)
+        assert max(len(batch) for batch in batches) > 1
+        if row_edges == 60:  # some runs alone are past it
+            assert max(sum(batch) for batch in batches) > row_edges
+        keys = [(gi, si, rep) for gi in range(2) for si in range(2) for rep in range(reps)]
+        assert sum(len(b) for b in batches) == len(rows) == len(keys)
+        for row, (gi, si, rep) in zip(rows, keys):
+            assert (row.p_in, row.s, row.rep) == (config.p_in_grid[gi], config.s_values[si], rep)
+            assert row.instance_seed == derive_instance_seed(42, gi, si, rep)
+            assert row == run_one(config, gi, si, rep)
 
 
 class TestCliGenerate:
