@@ -21,7 +21,13 @@ import numpy as np
 
 from tvclust.graphs import Graph, Partition, PartitionError, checked_int, checked_int_array
 from tvclust.sbm import SeedSet
-from tvclust.solver import MAX_ITERS, SolveDiagnostics, _solve_many
+from tvclust.solver import (
+    MAX_ITERS,
+    SolveDiagnostics,
+    _checked_ids,
+    _checked_max_iters,
+    _solve_many,
+)
 
 
 class SeedLabelError(ValueError):
@@ -55,7 +61,7 @@ def _indicator_rows(labels: np.ndarray, ks) -> np.ndarray:
     return (labels == np.asarray(ks)[:, None]).astype(np.float64)
 
 
-def _check_labels(seed_labels: dict[int, int]) -> int:
+def _check_labels(seed_labels: dict[int, int]) -> None:
     if not seed_labels:
         raise SeedLabelError("no labeled nodes given")
     present = {checked_int(c, SeedLabelError, "cluster label")
@@ -67,7 +73,6 @@ def _check_labels(seed_labels: dict[int, int]) -> int:
         # the first gap is at most len(present) + 1, however large k_max is
         missing = next(k for k in range(1, k_max + 1) if k not in present)
         raise SeedLabelError(f"cluster {missing} of 1..{k_max} has no labeled node")
-    return k_max
 
 
 def cluster(
@@ -82,21 +87,39 @@ def cluster(
     stacked score matrix breaks exact ties toward the smallest cluster
     index.
     """
-    return _cluster_many([(g, seed_labels)], max_iters)[0]
+    _check_labels(seed_labels)
+    seed_ids = sorted(seed_labels)
+    labels = np.array([seed_labels[i] for i in seed_ids])
+    max_iters = _checked_max_iters(max_iters)
+    return _cluster_many([(g, _checked_ids(g, seed_ids), labels)], max_iters)[0]
 
 
 def _cluster_many(runs, max_iters: int) -> list[ClusteringResult]:
-    """cluster() of each (graph, seed_labels) run, all graphs with the same
-    N, with the solves of all runs as one batch."""
-    problems = []
-    for g, seed_labels in runs:
-        k_max = _check_labels(seed_labels)
-        seed_ids = sorted(seed_labels)
-        labels = np.array([seed_labels[i] for i in seed_ids])
-        problems.append((g, seed_ids, _indicator_rows(labels, np.arange(1, k_max + 1))))
+    """cluster() of each (graph, seed ids, labels) run, all graphs with the
+    same N, with the solves of all runs as one batch.  A run's seed ids are
+    ascending and in range and its labels, one per id, take every value
+    1..K; nothing is checked again here.  Each step runs on the whole
+    batch."""
+    graphs, ids, labels = zip(*runs)
+    counts = [i.size for i in ids]
+    ends = np.cumsum(counts)
+    flat = np.concatenate(labels)
+    k = np.maximum.reduceat(flat, ends - counts).astype(int)  # K of each run
+    hits = _indicator_rows(flat, np.arange(1, k.max() + 1))
+    scores, diagnostics = _solve_many(
+        [(g, i, hits[:k_i, end - c:end])
+         for g, i, k_i, c, end in zip(graphs, ids, k.tolist(), counts, ends.tolist())],
+        max_iters,
+    )
+    # argmax over each run's K rows, the runs with one K as one array
+    first = np.cumsum(k) - k
+    assignment = np.empty((len(runs), scores.shape[1]), dtype=int)
+    for k_i in np.unique(k).tolist():
+        mine = np.flatnonzero(k == k_i)
+        assignment[mine] = np.argmax(scores[first[mine, None] + np.arange(k_i)], axis=1) + 1
     return [
-        ClusteringResult(np.argmax(scores, axis=0) + 1, scores, diagnostics)
-        for scores, diagnostics in _solve_many(problems, max_iters)
+        ClusteringResult(a, scores[f:f + k_i], tuple(diagnostics[f:f + k_i]))
+        for a, f, k_i in zip(assignment, first.tolist(), k.tolist())
     ]
 
 
@@ -117,15 +140,21 @@ def accuracy(result: ClusteringResult, truth: Partition, seeds) -> float:
     """
     _check_size(result, truth)
     seed_nodes = seeds.all_nodes if isinstance(seeds, SeedSet) else list(seeds)
-    ids = checked_int_array(seed_nodes, SeedLabelError, "labeled node ids")
+    ids = checked_int_array(seed_nodes, SeedLabelError, "labeled node ids").reshape(-1)
     if ((ids < 0) | (ids >= truth.num_nodes)).any():
         raise SeedLabelError(f"labeled node id outside 0..{truth.num_nodes - 1}")
-    mask = np.ones(truth.num_nodes, dtype=bool)
-    mask[ids] = False
-    if not mask.any():
-        return 1.0
-    correct = result.assignment[mask] == truth.assignment[mask]
-    return float(correct.mean())
+    return float(_accuracies(result.assignment[None], truth, ids, [ids.size])[0])
+
+
+def _accuracies(assignments, truth: Partition, seed_ids, counts) -> np.ndarray:
+    """accuracy() of each run p, row p of the (P, N) `assignments`, whose
+    labeled nodes are its counts[p] of the in-range `seed_ids`, run after
+    run; the whole batch at once."""
+    scored = np.ones(assignments.shape, dtype=bool)
+    scored[np.repeat(np.arange(len(counts)), counts), seed_ids] = False
+    correct = np.count_nonzero(scored & (assignments == truth.assignment), axis=1)
+    unlabeled = np.count_nonzero(scored, axis=1)
+    return np.where(unlabeled > 0, correct / np.maximum(unlabeled, 1), 1.0)
 
 
 RESULT_CSV_BASE_COLUMNS = ("node", "true_cluster", "pred_cluster")

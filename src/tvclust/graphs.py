@@ -64,6 +64,17 @@ def checked_int(value, error: type[ValueError], name: str) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def checked_float(value, error: type[ValueError], name: str) -> float:
+    """`value` as a Python float; a string, or anything float() refuses,
+    raises `error` naming `name`."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{name} must be a number, got {value!r}")
+
+
 def checked_int_array(values, error: type[ValueError], name: str) -> np.ndarray:
     """`values` as an int64 array; a value that is not integer-valued raises
     `error` naming `name`.  Integer dtypes pass without a check."""

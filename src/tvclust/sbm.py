@@ -14,6 +14,14 @@ edges are oriented, distinct and in range by construction.
 streams (graph draw vs. per-cluster seed selection) are split with numpy's
 SeedSequence, which is also how sweep drivers should derive per-run seeds.
 
+What every draw with one set of cluster sizes shares is a `_Layout`, built
+from the sizes alone in O(N): the partition, each cluster's member block,
+and where each row of the pair stream, and its pairs across clusters,
+begin.  `generate_instance` checks its inputs and builds one per call;
+`tvclust.sweep.run_sweep` builds one per sweep and draws every run through
+it with `_draw`, whose instances go through `SbmInstance`'s check as
+`generate_instance`'s do and are the same, bit for bit.
+
 Clusters occupy contiguous id blocks: cluster 1 gets ids 0..n_1-1, and so
 on.  An optional post-hoc node permutation is available but off by default.
 """
@@ -30,6 +38,7 @@ from tvclust.graphs import (
     Partition,
     PartitionError,
     build_graph,
+    checked_float,
     checked_int,
     checked_int_array,
     contiguous_partition,
@@ -90,9 +99,10 @@ class SbmParams:
         if len(sizes) < 1 or any(n < 1 for n in sizes):
             raise SbmParamsError(f"bad cluster sizes {self.cluster_sizes}")
         for name in ("p_in", "p_out"):
-            p = getattr(self, name)
+            p = checked_float(getattr(self, name), SbmParamsError, name)
             if not 0.0 <= p <= 1.0:
                 raise SbmParamsError(f"{name}={p} outside [0, 1]")
+            object.__setattr__(self, name, p)
         object.__setattr__(self, "cluster_sizes", sizes)
 
     @property
@@ -165,6 +175,46 @@ class SbmInstance:
             raise SeedGroupError(f"seed {repeated[0]} is listed more than once")
 
 
+class _Layout:
+    """What every draw with these cluster sizes shares (see the module
+    docstring), built from the sizes alone in O(N) time and memory."""
+
+    __slots__ = ("truth", "sizes", "members", "bounds", "rows", "lead", "across",
+                 "chunks", "buffer_size")
+
+    def __init__(self, cluster_sizes):
+        self.truth = contiguous_partition(cluster_sizes)
+        self.sizes = self.truth.cluster_sizes.tolist()
+        n = self.truth.num_nodes
+        # every cluster's node ids in ascending order, one block per
+        # cluster: 0..N-1 for contiguous blocks
+        self.members = np.arange(n)
+        # row i holds the pairs (i, i+1..n-1) at stream offsets row_start[i]..;
+        # clusters are contiguous id blocks, so the first pairs of a row, those
+        # with j < block_end[i], draw with p_in and the rest with p_out
+        row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+        rows = np.arange(n - 1)
+        block_end = np.cumsum(self.sizes)[self.truth.assignment[:-1] - 1]
+        # stream offsets of row i's first pair, bounds[2i], and of its first
+        # pair across clusters, bounds[2i + 1]; bounds[2N - 2] is the end.
+        # The pairs from bounds[k] to bounds[k + 1] are (i, j) with i =
+        # rows[k] and j = offset + lead[k], across clusters if across[k]
+        self.bounds = np.empty(2 * n - 1, dtype=np.int64)
+        self.bounds[0::2] = row_start
+        self.bounds[1::2] = row_start[:-1] + block_end - rows - 1
+        self.rows = np.repeat(rows, 2)
+        self.lead = np.repeat(rows + 1 - row_start[:-1], 2)
+        self.across = np.arange(2 * n - 2) % 2 == 1
+        # rows lo..hi-1 of each chunk: as many whole rows as fit in
+        # PAIR_CHUNK, at least one
+        self.chunks, lo = [], 0
+        while lo < n - 1:
+            hi = np.searchsorted(row_start, row_start[lo] + PAIR_CHUNK, side="right")
+            self.chunks.append((lo, max(int(hi) - 1, lo + 1)))
+            lo = self.chunks[-1][1]
+        self.buffer_size = min(max(PAIR_CHUNK, n - 1), int(row_start[-1]))
+
+
 def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
     """Draw one graph from the block model; bit-reproducible given the seed.
 
@@ -176,46 +226,40 @@ def generate(params: SbmParams, rng_seed: int) -> tuple[Graph, Partition]:
     O(E + PAIR_CHUNK + N) while the realized graph is the one a single
     draw over all pairs would give.
     """
-    truth = contiguous_partition(params.cluster_sizes)
-    # the chunks' uniform buffer is freed before the graph is built; the
-    # edges need none of build_graph's checks (see the module docstring)
-    chunks = _edge_chunks(params, truth, rng_seed)
-    return Graph(params.num_nodes, np.concatenate(chunks)), truth
+    layout = _Layout(params.cluster_sizes)
+    return Graph(params.num_nodes, _edges(layout, params, rng_seed)), layout.truth
 
 
-def _edge_chunks(params: SbmParams, truth: Partition, rng_seed: int) -> list:
-    """The edges `generate` draws, one (m, 2) int32 array per chunk of rows."""
-    n = params.num_nodes
+def _edges(layout: _Layout, params: SbmParams, rng_seed) -> np.ndarray:
+    """The (E, 2) int32 edges `generate` draws, chunk by chunk of `layout`.
+    They need none of build_graph's checks (see the module docstring)."""
     rng = np.random.Generator(np.random.Philox(rng_seed))
     p_in, p_out = params.p_in, params.p_out
     p_max = max(p_in, p_out)
-    # row i holds the pairs (i, i+1..n-1) at stream offsets row_start[i]..;
-    # clusters are contiguous id blocks, so the first pairs of a row, those
-    # with j < block_end[i], draw with p_in and the rest with p_out
-    row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
-    block_end = np.cumsum(params.cluster_sizes)[truth.assignment - 1]
+    bounds, rows, lead = layout.bounds, layout.rows, layout.lead
+    p = np.where(layout.across, p_out, p_in)  # of the pairs between two bounds
     chunks = [np.empty((0, 2), dtype=np.int32)]
     # every chunk's uniforms go to one buffer: a fresh array per chunk is
     # allocated while the previous one is still bound, two chunks at once
-    buffer = np.empty(min(max(PAIR_CHUNK, n - 1), int(row_start[-1])))
-    lo = 0
-    while lo < n - 1:
-        # rows lo..hi-1: as many whole rows as fit in PAIR_CHUNK, at least one
-        hi = np.searchsorted(row_start, row_start[lo] + PAIR_CHUNK, side="right")
-        hi = max(int(hi) - 1, lo + 1)
-        u = rng.random(out=buffer[: int(row_start[hi] - row_start[lo])])
+    buffer = np.empty(layout.buffer_size)
+    for lo, hi in layout.chunks:
+        start, mine = int(bounds[2 * lo]), slice(2 * lo, 2 * hi)
+        u = rng.random(out=buffer[: int(bounds[2 * hi]) - start])
         # u < p(i, j) <= p_max: screen the chunk against p_max, then test
-        # the few candidates against their own probability
+        # the few candidates against their own probability; the candidates
+        # are in stream order, so the bounds cut them into the rows' pairs
+        # within and across clusters
         pos = np.flatnonzero(u < p_max)
-        at = row_start[lo] + pos
-        i = np.searchsorted(row_start, at, side="right") - 1
-        j = i + 1 + at - row_start[i]
-        keep = u[pos] < np.where(j < block_end[i], p_in, p_out)
+        cut = np.searchsorted(pos, bounds[2 * lo:2 * hi + 1] - start)
+        count = cut[1:] - cut[:-1]
+        i = np.repeat(rows[mine], count)
+        j = pos + np.repeat(lead[mine] + start, count)
+        keep = u[pos] < np.repeat(p[mine], count)
         edges = np.empty((int(keep.sum()), 2), dtype=np.int32)
         edges[:, 0], edges[:, 1] = i[keep], j[keep]
         chunks.append(edges)
-        lo = hi
-    return chunks
+    # the uniform buffer is freed before the graph is built
+    return np.concatenate(chunks)
 
 
 def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
@@ -224,24 +268,35 @@ def select_seeds(truth: Partition, s: int, rng_seed: int) -> SeedSet:
     Each cluster uses its own SeedSequence-spawned stream, so the draw for
     cluster k does not depend on how many clusters precede it.
     """
-    s = checked_int(s, SeedCountError, "s")
     sizes = truth.cluster_sizes.tolist()
-    if not 1 <= s <= min(sizes):
-        raise SeedCountError(f"s={s} must be in 1..{min(sizes)} (smallest cluster)")
+    s = _checked_s(s, sizes)
     if isinstance(rng_seed, np.random.SeedSequence):
         root = rng_seed
     else:
         root = np.random.SeedSequence(_checked_rng_seed(rng_seed))
-    # every cluster's node ids in ascending order, one block per cluster;
-    # choosing positions in a block draws what choosing from its ids does
+    # every cluster's node ids in ascending order, one block per cluster
     members = np.argsort(truth.assignment, kind="stable")
+    return _seed_set(members, sizes, s, root.spawn(len(sizes)))
+
+
+def _seed_set(members: np.ndarray, sizes, s: int, streams) -> SeedSet:
+    """S of each cluster's block of `members`, on the cluster's stream;
+    choosing positions in a block draws what choosing from its ids does."""
     groups, end = [], 0
-    for stream, size in zip(root.spawn(truth.num_clusters), sizes):
+    for stream, size in zip(streams, sizes):
         rng = np.random.Generator(np.random.Philox(stream))
         chosen = members[end:end + size][rng.choice(size, size=s, replace=False)]
         groups.append(tuple(sorted(chosen.tolist())))
         end += size
     return SeedSet(tuple(groups))
+
+
+def _checked_s(s, sizes) -> int:
+    """`s` as an int; SeedCountError unless in 1..min(sizes)."""
+    s = checked_int(s, SeedCountError, "s")
+    if not 1 <= s <= min(sizes):
+        raise SeedCountError(f"s={s} must be in 1..{min(sizes)} (smallest cluster)")
+    return s
 
 
 def _checked_rng_seed(rng_seed) -> int:
@@ -255,10 +310,23 @@ def _checked_rng_seed(rng_seed) -> int:
 def generate_instance(params: SbmParams, s: int, rng_seed: int) -> SbmInstance:
     """Graph + ground truth + seed set from one recorded 64-bit seed."""
     rng_seed = _checked_rng_seed(rng_seed)
-    graph_stream, seed_stream = np.random.SeedSequence(rng_seed).spawn(2)
-    graph, truth = generate(params, graph_stream)
-    seeds = select_seeds(truth, s, seed_stream)
-    return SbmInstance(graph, truth, seeds, params, rng_seed)
+    s = _checked_s(s, params.cluster_sizes)
+    return _draw(_Layout(params.cluster_sizes), params, s, rng_seed)
+
+
+def _draw(layout: _Layout, params: SbmParams, s: int, rng_seed: int) -> SbmInstance:
+    """generate_instance(params, s, rng_seed) through the layout of params'
+    cluster sizes, for an s and rng_seed already checked."""
+    # the graph stream and the clusters' seed streams are the children
+    # SeedSequence(rng_seed).spawn(2) and its second child's .spawn(K):
+    # spawning gives SeedSequence(entropy, spawn_key=parent key + (i,)), and
+    # building those directly skips the parents' own seeding
+    graph_stream = np.random.SeedSequence(rng_seed, spawn_key=(0,))
+    streams = [np.random.SeedSequence(rng_seed, spawn_key=(1, k))
+               for k in range(len(layout.sizes))]
+    graph = Graph(params.num_nodes, _edges(layout, params, graph_stream))
+    seeds = _seed_set(layout.members, layout.sizes, s, streams)
+    return SbmInstance(graph, layout.truth, seeds, params, rng_seed)
 
 
 def permute_instance(instance: SbmInstance, rng_seed: int) -> SbmInstance:

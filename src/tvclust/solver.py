@@ -5,7 +5,10 @@ prescribed values on a labeled node set M.  :func:`solve_batch` runs K such
 problems on one graph and labeled set (row k of a (K, S) matrix holds
 problem k's values); it is the one-graph case of ``_solve_many``, which
 runs such batches for many graphs with the same N at once (the runs of a
-sweep).
+sweep).  solve_batch checks its inputs; ``_solve_many`` takes them checked,
+and splits the rows into targets, puts their signals together and reads
+their diagnostics in steps over the whole batch, apart from one
+``total_variation`` per row.
 
 A row with distinct labeled values a_0 < ... < a_m is split into the m 0/1
 targets [value >= a_j].  If u_j is an optimum of target j, of TV C_j, then
@@ -123,12 +126,7 @@ def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarra
     one row per problem, as float64."""
     ids = checked_int_array(seed_ids, SeedValuesError, "labeled node ids")
     values = np.asarray(seed_values, dtype=np.float64)
-    if ids.size == 0:
-        raise SeedValuesError("labeled node set must be nonempty")
-    if ids.ndim != 1 or (ids[1:] <= ids[:-1]).any():
-        raise SeedValuesError("labeled node ids must be distinct and ascending")
-    if ids[0] < 0 or ids[-1] >= g.num_nodes:
-        raise SeedValuesError(f"labeled node id outside 0..{g.num_nodes - 1}")
+    ids = _checked_ids(g, ids)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] != ids.size:
         raise SeedValuesError(
             f"labeled values have shape {values.shape}, expected (K >= 1, {ids.size})"
@@ -136,6 +134,19 @@ def _check_seeds(g: Graph, seed_ids, seed_values) -> tuple[np.ndarray, np.ndarra
     if not np.isfinite(values).all():
         raise SeedValuesError("labeled values must be finite")
     return ids, values
+
+
+def _checked_ids(g: Graph, seed_ids) -> np.ndarray:
+    """The labeled node ids as an int64 array, or SeedValuesError unless
+    they are nonempty, distinct, ascending and in 0..N-1."""
+    ids = checked_int_array(seed_ids, SeedValuesError, "labeled node ids")
+    if ids.size == 0:
+        raise SeedValuesError("labeled node set must be nonempty")
+    if ids.ndim != 1 or (ids[1:] <= ids[:-1]).any():
+        raise SeedValuesError("labeled node ids must be distinct and ascending")
+    if ids[0] < 0 or ids[-1] >= g.num_nodes:
+        raise SeedValuesError(f"labeled node id outside 0..{g.num_nodes - 1}")
+    return ids
 
 
 class _Sweeper:
@@ -283,76 +294,141 @@ def solve_batch(
     always has a solution); it is reported through the `converged` flag.
     The targets of all rows are swept in groups of max(1, _ROW_EDGES // E).
     """
-    return _solve_many([(g, seed_ids, seed_values)], max_iters)[0]
+    max_iters = _checked_max_iters(max_iters)
+    scores, diagnostics = _solve_many([(g, *_check_seeds(g, seed_ids, seed_values))],
+                                      max_iters)
+    return scores, tuple(diagnostics)
 
 
 def _solve_many(problems, max_iters: int):
     """solve_batch of each (graph, seed_ids, seed_values) problem, all
-    graphs with the same N, as one batch: the targets of all problems, in
-    order, are swept in groups of as many as fit in _ROW_EDGES summed
-    edges (one alone if it does not fit).  Returns one (scores,
-    diagnostics) pair per problem."""
-    max_iters = _checked_max_iters(max_iters)
-    scores = []  # per problem
-    rows, count = [], []  # per row of every problem: (graph, signal), targets
-    targets, owner, lo, hi = [], [], [], []  # per target
-    for g, seed_ids, seed_values in problems:
-        seed_ids, seed_values = _check_seeds(g, seed_ids, seed_values)
-        # row k's distinct values a_0 < ... < a_m are where its sorted values
-        # step up; its targets [value >= a_j], j = 1..m, come one after another
-        ascending = np.sort(seed_values, axis=1)
-        row, j = np.nonzero(ascending[:, 1:] != ascending[:, :-1])
-        lo.append(ascending[row, j])  # a_{j-1}
-        hi.append(ascending[row, j + 1])  # a_j
-        targets += [(g, seed_ids, t) for t in seed_values[row] >= hi[-1][:, None]]
-        owner.append(row + len(rows))  # rows are numbered across problems
-        count += np.bincount(row, minlength=len(seed_values)).tolist()
-        scores.append(np.repeat(ascending[:, :1], g.num_nodes, axis=1))
-        rows += [(g, x) for x in scores[-1]]
-    owner, lo, hi = (np.concatenate(a) for a in (owner, lo, hi))
+    graphs with the same N and every input as solve_batch checks it, as
+    one batch: the targets of all problems, in order, are swept in groups
+    of as many as fit in _ROW_EDGES summed edges (one alone if it does not
+    fit).  Returns the (R, N) signals of all R rows, problem after problem,
+    and their R diagnostics.  Every step but the sweeps and the rows'
+    total variations runs on the whole batch at once."""
+    graphs, ids, values = zip(*problems)
+    n = graphs[0].num_nodes
+    of_row = np.repeat(np.arange(len(problems)), [len(v) for v in values])  # problem
+    owner, lo, hi, flags, least = _thresholds(values, of_row)
+    of_target = of_row[owner].tolist()
+    targets = [(graphs[p], ids[p], f) for p, f in zip(of_target, flags)]
+    edges = [g.num_edges for g in graphs]
     starts, total = [], 0  # the first target of each group
-    for t, (g, _, _) in enumerate(targets):
-        if not starts or total + g.num_edges > _ROW_EDGES:
+    for t, p in enumerate(of_target):
+        if not starts or total + edges[p] > _ROW_EDGES:
             starts.append(t)
             total = 0
-        total += g.num_edges
-    last = np.cumsum(count).tolist()  # one past each row's last target
-    iters, bound, certified = (np.empty(len(targets), t) for t in (int, float, bool))
-    term = np.empty(scores[0].shape[1])
-    owner_of, lo_of, hi_of = owner.tolist(), lo.tolist(), hi.tolist()
-    for i, stop in zip(starts, starts[1:] + [len(targets)]):
-        u = np.empty((stop - i, term.size))
+        total += edges[p]
+    # a row with no target is its one value; the others are put together
+    # from their targets' signals
+    scores = np.repeat(least[:, None], n, axis=1)
+    opens, closes = np.ones(owner.size, bool), np.ones(owner.size, bool)
+    opens[1:] = closes[:-1] = owner[1:] != owner[:-1]  # a row's first, last target
+    iters, bound, certified = (np.empty(owner.size, t) for t in (int, float, bool))
+    above = None  # the signal of the last target swept
+    for i, stop in zip(starts, starts[1:] + [owner.size]):
+        u = np.empty((stop - i, n))
         iters[i:stop], bound[i:stop], certified[i:stop] = _solve_rows(
             targets[i:stop], max_iters, u
         )
-        # x = sum_j a_j (u_j - u_{j+1}), added up in ascending j; a group
-        # keeps only its own targets' signals, so `above` carries u_{j-1}
-        for t, u_j in enumerate(u, i):
-            k = owner_of[t]
-            first = t == 0 or owner_of[t - 1] != k
-            row = rows[k][1]
-            np.subtract(1.0 if first else above, u_j, out=term)
-            term *= lo_of[t]
-            np.add(0.0 if first else row, term, out=row)
-            if t + 1 == last[k]:
-                np.multiply(u_j, hi_of[t], out=term)
-                row += term
-            above = u_j
-    weighted = (hi - lo) * bound  # target j's share of its row's bound
-    iters_of, certified_of = iters.tolist(), certified.tolist()
-    diagnostics = []
-    for k, end in enumerate(last):
-        mine = slice(end - count[k], end)
-        tv = total_variation(*rows[k])
-        lower = float(weighted[mine].sum())
-        done = all(certified_of[mine])
-        diagnostics.append(SolveDiagnostics(
-            max(iters_of[mine], default=0), tv, done, lower,
-            0.0 if done else (tv - lower) / max(1.0, tv),
-            "level_set" if done else "budget",
-        ))
-    ends = np.cumsum([len(s) for s in scores]).tolist()
-    return [(s, tuple(diagnostics[end - len(s):end])) for s, end in zip(scores, ends)]
+        mine = slice(i, stop)
+        above = _assemble(scores, u, above, owner[mine], lo[mine], hi[mine],
+                          opens[mine], closes[mine])
+    return scores, _diagnostics(scores, graphs, of_row, owner, lo, hi, iters, bound,
+                                certified)
+
+
+def _thresholds(values, of_row):
+    """The 0/1 targets of the rows of every problem's (K, S) `values`, in
+    row order and, within a row, in ascending j: per target its row, a_{j-1}
+    and a_j, and its (S,) values [value >= a_j]; and a_0 of every row.
+
+    Rows with the same S are sorted as one (rows, S) array, which sorts
+    each row exactly as np.sort of its own problem's values would.
+    """
+    width = np.array([v.shape[1] for v in values])[of_row]
+    least = np.empty(of_row.size)
+    parts = []
+    for s in np.unique(width).tolist():
+        rows = np.flatnonzero(width == s)
+        block = np.concatenate([v for v in values if v.shape[1] == s])
+        ascending = np.sort(block, axis=1)
+        least[rows] = ascending[:, 0]
+        # row k's distinct values a_0 < ... < a_m are where its sorted
+        # values step up; its targets are [value >= a_j], j = 1..m
+        r, j = np.nonzero(ascending[:, 1:] != ascending[:, :-1])
+        hi = ascending[r, j + 1]
+        parts.append((rows[r], ascending[r, j], hi, block[r] >= hi[:, None]))
+    owner, lo, hi = (np.concatenate([part[c] for part in parts]) for c in range(3))
+    order = np.argsort(owner, kind="stable")
+    flags = [f for part in parts for f in part[3]]
+    return (owner[order], lo[order], hi[order], [flags[t] for t in order.tolist()],
+            least)
+
+
+def _assemble(scores, u, above, owner, lo, hi, opens, closes) -> np.ndarray:
+    """Add a group's target signals u_j to their rows of `scores` as
+
+        x = sum_{j=0..m} a_j (u_j - u_{j+1}),    u_0 = 1, u_{m+1} = 0,
+
+    adding up each row's terms in ascending j, from 0.0 at its first
+    target; `above` is the signal of the target swept before the group,
+    and a row the group leaves unfinished keeps its partial sum.  Returns
+    the signal of the group's last target; `u` is used up."""
+    last_signal = u[-1].copy()
+    terms = np.empty_like(u)
+    terms[1:] = u[:-1]
+    if above is not None:
+        terms[0] = above
+    terms[opens] = 1.0
+    terms -= u
+    terms *= lo[:, None]  # a_{j-1} (u_{j-1} - u_j)
+    # turn each term into its row's running sum.  A sum from 0.0 is never
+    # -0.0, so adding 0.0 to every term, which a row's first term needs,
+    # leaves every later sum as it is
+    terms += 0.0
+    if not opens[0]:
+        terms[0] += scores[owner[0]]  # the sum of the group before
+    starts = opens.copy()  # where each row's run of targets in the group starts
+    starts[0] = True
+    place = np.arange(owner.size)  # the target's place in its row's run
+    place -= np.maximum.accumulate(np.where(starts, place, 0))
+    for p in range(1, int(place.max()) + 1):
+        at = np.flatnonzero(place == p)
+        terms[at] += terms[at - 1]
+    u *= np.where(closes, hi, 0.0)[:, None]  # a_m u_m at a row's last target
+    terms += u
+    last = closes.copy()
+    last[-1] = True
+    scores[owner[last]] = terms[last]
+    return last_signal
+
+
+def _diagnostics(scores, graphs, of_row, owner, lo, hi, iters, bound, certified):
+    """The diagnostics of every row, from its signal and its targets'."""
+    rows = of_row.size
+    count = np.bincount(owner, minlength=rows)
+    most = np.zeros(rows, dtype=int)
+    np.maximum.at(most, owner, iters)
+    done = np.ones(rows, dtype=bool)
+    done[owner[~certified]] = False
+    # a row's bound sums its targets' shares (a_j - a_{j-1}) C_j as np.sum
+    # of the row's shares alone would: rows with m targets as one (rows, m)
+    weighted = (hi - lo) * bound
+    lower = np.zeros(rows)
+    first = np.cumsum(count) - count
+    for m in np.unique(count[count > 0]).tolist():
+        mine = np.flatnonzero(count == m)
+        lower[mine] = weighted[first[mine, None] + np.arange(m)].sum(axis=1)
+    # one total_variation per row: one gather over the whole batch's edges
+    # costs more than the rows' own, at the batch sizes of a sweep
+    tv = np.array([total_variation(graphs[p], x) for p, x in zip(of_row.tolist(), scores)])
+    gap = np.where(done, 0.0, (tv - lower) / np.maximum(1.0, tv))
+    done = done.tolist()
+    return list(map(SolveDiagnostics, most.tolist(), tv.tolist(), done, lower.tolist(),
+                    gap.tolist(), ["level_set" if d else "budget" for d in done]))
 
 
 def _solve_rows(targets, max_iters, signals):

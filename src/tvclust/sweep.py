@@ -3,15 +3,19 @@
 Every run (one generated instance, one clustering, one accuracy figure)
 has its own RNG stream derived from the master seed through the spawn key
 (grid index, s index, rep index), so adding grid points or reordering the
-schedule never changes any existing row.  Runs are generated one at a
-time, in (grid, s, rep) order, and queued; the solves of a queue of runs,
-with the same N, run as one batch of the solver, in which every row is
-computed exactly as in a run of its own (:func:`run_one`).
+schedule never changes any existing row.  A sweep builds the model's
+layout (:class:`tvclust.sbm._Layout`) once and its `SbmParams` once per
+grid point, and draws its runs one at a time, in (grid, s, rep) order,
+through them, each on its own streams and through `SbmInstance`'s check.
+The runs are queued; the queue, all with the same N, is clustered and
+scored as one batch, in which every row is computed exactly as in a run
+of its own (:func:`run_one`).  The config is checked when it is made, and
+the seeds and labels the sweep built are not checked again per run.
 
 Wall-clock timings are only recorded when explicitly requested, because
 they would break byte-reproducibility of the output; without the request
-the wall_ms column is 0.  With it a row reads its run's own generation and
-accuracy time plus an equal share of its batch's clustering, at least
+the wall_ms column is 0.  With it a row reads its run's own generation
+time plus an equal share of its batch's clustering and scoring, at least
 1 ms, and the column adds up to about the sweep's wall time.
 Every solve gets the config's sweep budget, ``max_iters`` (default
 :data:`tvclust.solver.MAX_ITERS`).
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvclust.clustering import _cluster_many, accuracy, cluster
-from tvclust.graphs import checked_int
-from tvclust.sbm import SbmParams, generate_instance
+from tvclust.clustering import _accuracies, _cluster_many, accuracy, cluster
+from tvclust.graphs import checked_float, checked_int
+from tvclust.sbm import SbmParams, _draw, _Layout, generate_instance
 from tvclust.solver import _ROW_EDGES, MAX_ITERS, _checked_max_iters
 
 
@@ -46,7 +50,8 @@ class SweepConfig:
     max_iters: int = MAX_ITERS
 
     def __post_init__(self):
-        """Check every field, naming it; the integer fields are stored as ints."""
+        """Check every field, naming it; the integer fields are stored as
+        ints, the probabilities as floats and the sequences as tuples."""
         max_iters = _checked_max_iters(self.max_iters)
 
         def ints(name):
@@ -58,13 +63,17 @@ class SweepConfig:
         sizes, s_values = ints("cluster_sizes"), ints("s_values")
         reps = checked_int(self.reps, SweepConfigError, "reps")
         rng_seed = checked_int(self.rng_seed, SweepConfigError, "rng_seed")
-        if not self.p_in_grid:
+        p_out = checked_float(self.p_out, SweepConfigError, "p_out")
+        p_in_grid = tuple(
+            checked_float(p, SweepConfigError, "p_in_grid") for p in self.p_in_grid
+        )
+        if not p_in_grid:
             raise SweepConfigError("p_in_grid is empty")
         if reps < 1:
             raise SweepConfigError(f"reps={reps} must be >= 1")
         if rng_seed < 0:
             raise SweepConfigError(f"rng_seed={rng_seed} must be >= 0")
-        for p in (*self.p_in_grid, self.p_out):
+        for p in (*p_in_grid, p_out):
             if not 0.0 <= p <= 1.0:
                 raise SweepConfigError(f"probability {p} outside [0, 1]")
         if min(sizes) < 1:
@@ -74,7 +83,8 @@ class SweepConfig:
                 raise SweepConfigError(
                     f"s_values entry {s} outside 1..{min(sizes)} (smallest cluster)"
                 )
-        for name, value in (("cluster_sizes", sizes), ("s_values", s_values),
+        for name, value in (("cluster_sizes", sizes), ("p_out", p_out),
+                            ("p_in_grid", p_in_grid), ("s_values", s_values),
                             ("reps", reps), ("rng_seed", rng_seed),
                             ("max_iters", max_iters)):
             object.__setattr__(self, name, value)
@@ -114,14 +124,7 @@ def derive_instance_seed(master_seed: int, grid_i: int, s_i: int, rep: int) -> i
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _instance(config: SweepConfig, grid_i: int, s_i: int, rep: int):
-    """The run's instance seed and instance, drawn from its own stream."""
-    instance_seed = derive_instance_seed(config.rng_seed, grid_i, s_i, rep)
-    params = SbmParams(config.cluster_sizes, config.p_in_grid[grid_i], config.p_out)
-    return instance_seed, generate_instance(params, config.s_values[s_i], instance_seed)
-
-
-def _row(config, key, instance_seed, acc, result, seconds, measure_time) -> SweepRow:
+def _row(config, key, instance_seed, acc, iters, seconds, measure_time) -> SweepRow:
     """The row of run key = (grid_i, s_i, rep), which took `seconds`."""
     grid_i, s_i, rep = key
     p_in = config.p_in_grid[grid_i]
@@ -135,7 +138,7 @@ def _row(config, key, instance_seed, acc, result, seconds, measure_time) -> Swee
         rep=rep,
         instance_seed=instance_seed,
         accuracy=acc,
-        iters=max(d.iters for d in result.diagnostics),
+        iters=iters,
         # a timed run reads at least 1 ms, so it never looks untimed
         wall_ms=max(1, round(1000 * seconds)) if measure_time else 0,
     )
@@ -147,12 +150,14 @@ def run_one(
     """One run on its own: generate, cluster and score.  run_sweep gives
     the same row, the solve aside, which it batches with other runs'."""
     start = time.perf_counter()
-    instance_seed, instance = _instance(config, grid_i, s_i, rep)
+    instance_seed = derive_instance_seed(config.rng_seed, grid_i, s_i, rep)
+    params = SbmParams(config.cluster_sizes, config.p_in_grid[grid_i], config.p_out)
+    instance = generate_instance(params, config.s_values[s_i], instance_seed)
     result = cluster(instance.graph, instance.seeds.labels(), config.max_iters)
     acc = accuracy(result, instance.truth, instance.seeds)
     seconds = time.perf_counter() - start
-    return _row(config, (grid_i, s_i, rep), instance_seed, acc, result, seconds,
-                measure_time)
+    return _row(config, (grid_i, s_i, rep), instance_seed, acc,
+                max(d.iters for d in result.diagnostics), seconds, measure_time)
 
 
 def run_sweep(
@@ -160,7 +165,9 @@ def run_sweep(
 ) -> list[SweepRow]:
     """All reps x grid x s runs, returned in (grid, s, rep) order.
 
-    Runs are generated one at a time and queued.  The queue is clustered
+    The block model's layout is built once per sweep and its parameters
+    once per grid point; every run is drawn through them on its own
+    streams, one at a time, and queued.  The queue is clustered and scored
     as one batch whenever the next run's target edges (K times its edges)
     would take it past the solver's _ROW_EDGES, and after the last run, so
     a sweep holds at most one group of the solver's buffers, however many
@@ -169,39 +176,49 @@ def run_sweep(
     # num_threads stays only for perfbench's positional run_sweep(config, 1, True)
     if num_threads != 1:
         raise SweepConfigError(f"num_threads={num_threads!r}: sweeps run on one thread")
+    layout = _Layout(config.cluster_sizes)
     rows, queue, queued = [], [], 0
-    for gi in range(len(config.p_in_grid)):
-        for si in range(len(config.s_values)):
+    for gi, p_in in enumerate(config.p_in_grid):
+        params = SbmParams(config.cluster_sizes, p_in, config.p_out)
+        for si, s in enumerate(config.s_values):
             for rep in range(config.reps):
                 start = time.perf_counter()
-                instance_seed, instance = _instance(config, gi, si, rep)
+                instance_seed = derive_instance_seed(config.rng_seed, gi, si, rep)
+                instance = _draw(layout, params, s, instance_seed)
                 seconds = time.perf_counter() - start
                 edges = len(config.cluster_sizes) * instance.graph.num_edges
                 if queue and queued + edges > _ROW_EDGES:
-                    rows += _scored(config, queue, measure_time)
+                    rows += _scored(config, layout.truth, queue, measure_time)
                     queue, queued = [], 0
                 queue.append(((gi, si, rep), instance_seed, instance, seconds))
                 queued += edges
-    return rows + _scored(config, queue, measure_time)
+    return rows + _scored(config, layout.truth, queue, measure_time)
 
 
-def _scored(config, queue, measure_time) -> list[SweepRow]:
-    """The rows of the queued runs, clustered as one batch.  A row's time
-    is its run's generation and accuracy time plus an equal share of the
-    batch's clustering."""
+def _scored(config, truth, queue, measure_time) -> list[SweepRow]:
+    """The rows of the queued runs, all drawn on the partition `truth`,
+    clustered and scored as one batch.  A row's time is its run's
+    generation time plus an equal share of the batch's clustering and
+    scoring."""
     start = time.perf_counter()
-    results = _cluster_many(
-        [(instance.graph, instance.seeds.labels()) for _, _, instance, _ in queue],
-        config.max_iters,
-    )
+    nodes = [instance.seeds.all_nodes for _, _, instance, _ in queue]
+    # the seed groups of contiguous clusters list their ids in ascending order
+    ids = np.array([i for run in nodes for i in run])
+    counts = [len(run) for run in nodes]
+    labels = truth.assignment[ids]
+    runs, end = [], 0
+    for (_, _, instance, _), count in zip(queue, counts):
+        runs.append((instance.graph, ids[end:end + count], labels[end:end + count]))
+        end += count
+    results = _cluster_many(runs, config.max_iters)
+    accs = _accuracies(np.stack([r.assignment for r in results]), truth, ids, counts)
     share = (time.perf_counter() - start) / len(queue)
-    rows = []
-    for (key, instance_seed, instance, seconds), result in zip(queue, results):
-        start = time.perf_counter()
-        acc = accuracy(result, instance.truth, instance.seeds)
-        seconds += share + time.perf_counter() - start
-        rows.append(_row(config, key, instance_seed, acc, result, seconds, measure_time))
-    return rows
+    return [
+        _row(config, key, instance_seed, acc, max(d.iters for d in result.diagnostics),
+             seconds + share, measure_time)
+        for (key, instance_seed, _, seconds), acc, result
+        in zip(queue, accs.tolist(), results)
+    ]
 
 
 def aggregate_rows(config: SweepConfig, rows: list[SweepRow]) -> list[AggregateRow]:
@@ -244,16 +261,26 @@ def write_aggregate_csv(path, rows: list[AggregateRow]) -> None:
 
 
 def write_gnuplot_script(path, aggregate_csv_path) -> None:
-    """Companion script plotting mean accuracy against the seed-scaled ratio."""
+    """Companion script plotting mean accuracy against the seed-scaled ratio.
+
+    The aggregate path is quoted for the shell that gnuplot's system() runs
+    (in single quotes, inside a gnuplot double-quoted string) and for
+    gnuplot as the data file (in single quotes, where '' is one quote), so
+    a path with spaces or quotes still names one file.
+    """
+    name = str(aggregate_csv_path)
+    word = "'" + name.replace("'", "'\"'\"'") + "'"
+    command = f"awk -F, 'NR>1 {{print $1}}' {word} | sort -nu"
+    command = command.replace("\\", "\\\\").replace('"', '\\"')
+    data = name.replace("'", "''")
     script = (
         "set datafile separator ','\n"
         "set key autotitle columnheader\n"
         "set xlabel 'S * p_in / p_out'\n"
         "set ylabel 'accuracy'\n"
         "set yrange [0.45:1.05]\n"
-        f"plot for [s in system(\"awk -F, 'NR>1 {{print $1}}' {aggregate_csv_path}"
-        " | sort -nu\")] \\\n"
-        f"    '{aggregate_csv_path}' using 2:($1 == s ? $3 : 1/0) \\\n"
+        f'plot for [s in system("{command}")] \\\n'
+        f"    '{data}' using 2:($1 == s ? $3 : 1/0) \\\n"
         "    with linespoints title sprintf('S = %s', s)\n"
     )
     with open(path, "w") as fh:

@@ -8,9 +8,11 @@ when the benchmark runs.
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,26 @@ def test_perfbench_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 problems" in proc.stdout, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "workload", ["sweep_ref", "cluster_large", "oracle_exact", "certify_small"]
+)
+def test_workload_round_passes_its_check(tmp_path, workload):
+    # one round of each benchmark workload, in its own process as
+    # perfbench/run.py starts it, must pass the benchmark's own output
+    # check: a change that fails it would otherwise show only when the
+    # benchmark runs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/workloads.py", "--workload", workload,
+         "--seed", "3", "--seconds", "0", "--launched-at", repr(time.monotonic()),
+         "--out-dir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["correct"] is True and doc["failed"] == 0, proc.stdout + proc.stderr
 
 
 def test_run_sweep_positional_call():

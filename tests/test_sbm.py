@@ -44,6 +44,29 @@ class TestParams:
             SbmParams((5.5, 5), 0.5, 0.1)
         assert SbmParams((5.0, 5), 0.5, 0.1).cluster_sizes == (5, 5)
 
+    def test_numpy_probabilities_stored_as_floats(self, tmp_path):
+        # np.float64(0.3) used to be stored as given, written to header.txt
+        # as "p_in=np.float64(0.3)" and refused by read_instance
+        params = SbmParams((8, 8), np.float64(0.3), np.float32(0.05))
+        assert type(params.p_in) is float and type(params.p_out) is float
+        assert params == SbmParams((8, 8), 0.3, float(np.float32(0.05)))
+        inst = generate_instance(params, 2, 5)
+        write_instance(inst, tmp_path / "inst")
+        header = (tmp_path / "inst" / "header.txt").read_text()
+        assert "p_in=0.3\n" in header and "np." not in header
+        assert read_instance(tmp_path / "inst").params == params
+        # float(np.float32(x)) is exact: the same graph as the float input
+        same = generate_instance(SbmParams((8, 8), 0.3, 0.05000000074505806), 2, 5)
+        assert same.graph.edges.tobytes() == inst.graph.edges.tobytes()
+
+    @pytest.mark.parametrize("p_in, p_out", [("0.3", 0.05), (0.3, None), (0.3, [0.05]),
+                                             (0.3, 1j)])
+    def test_non_number_probability_named(self, p_in, p_out):
+        # each used to raise a bare TypeError from the range check
+        name = "p_in" if isinstance(p_in, str) else "p_out"
+        with pytest.raises(SbmParamsError, match=f"{name} must be a number"):
+            SbmParams((8, 8), p_in, p_out)
+
 
 class TestGenerate:
     def test_deterministic_limit_two_triangles(self):
@@ -295,6 +318,21 @@ class TestInstance:
         assert inst.graph.num_nodes == 20
         assert inst.seeds.seeds_per_cluster == 2
         assert inst.rng_seed == 21
+
+    def test_streams_are_the_seed_sequence_children(self):
+        # the graph is drawn on SeedSequence(rng_seed).spawn(2)[0] and the
+        # seeds on the second child's per-cluster spawn, which
+        # generate_instance builds directly as SeedSequence(rng_seed, spawn_key=...)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            params = random_params(rng)
+            s = int(rng.integers(1, min(params.cluster_sizes) + 1))
+            rng_seed = int(rng.integers(2**63))
+            inst = generate_instance(params, s, rng_seed)
+            graph_stream, seed_stream = np.random.SeedSequence(rng_seed).spawn(2)
+            graph, truth = generate(params, graph_stream)
+            assert inst.graph.edges.tobytes() == graph.edges.tobytes()
+            assert inst.seeds == select_seeds(truth, s, seed_stream)
 
     @pytest.mark.parametrize(
         "groups, message",

@@ -633,6 +633,12 @@ def many_graph_runs():
     return runs
 
 
+def checked_run(labels):
+    """A run's ascending seed ids and their labels, as cluster() passes them."""
+    ids = sorted(labels)
+    return np.array(ids), np.array([labels[i] for i in ids])
+
+
 class TestManyGraphs:
     """The runs of many graphs with the same N, solved as one batch, give
     bit for bit their solo cluster(): bincount adds each bin in input order
@@ -657,7 +663,7 @@ class TestManyGraphs:
         solve_rows = solver._solve_rows
         monkeypatch.setattr(solver, "_solve_rows", recorded)
         monkeypatch.setattr(solver, "_ROW_EDGES", row_edges)
-        batched = _cluster_many(runs, budget)
+        batched = _cluster_many([(g, *checked_run(labels)) for g, labels in runs], budget)
         # the targets in order, each group as many as fit (one if none does)
         assert sum(groups, []) == [g.num_edges for g, labels in runs
                                    for _ in set(labels.values())]
@@ -687,12 +693,14 @@ class TestManyGraphs:
             values = np.round(rng.uniform(-2.0, 2.0, (3, len(ids))), 1)
             values[1] = 0.5
             problems.append((g, ids, values))
-        for (g, ids, values), (scores, diagnostics) in zip(
-            problems, solver._solve_many(problems, 300)
-        ):
+        batch_scores, batch_diagnostics = solver._solve_many(
+            [(g, *solver._check_seeds(g, ids, values)) for g, ids, values in problems], 300
+        )
+        for p, (g, ids, values) in enumerate(problems):
+            rows = slice(3 * p, 3 * p + 3)  # every problem has three rows
             solo_scores, solo_diagnostics = solve_batch(g, ids, values, 300)
-            assert_array_equal(scores, solo_scores)
-            assert diagnostics == solo_diagnostics
+            assert_array_equal(batch_scores[rows], solo_scores)
+            assert tuple(batch_diagnostics[rows]) == solo_diagnostics
 
 
 class TestRounding:

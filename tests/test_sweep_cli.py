@@ -3,6 +3,8 @@ import csv
 import functools
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_array_equal
 
 from tvclust.cli import (
     GRID_MAX_POINTS,
@@ -20,8 +23,8 @@ from tvclust.cli import (
     build_parser,
     main,
 )
-from tvclust import sweep
-from tvclust.sbm import read_instance
+from tvclust import sbm, sweep
+from tvclust.sbm import SbmParams, generate_instance, read_instance
 from tvclust.sweep import (
     SweepConfig,
     SweepConfigError,
@@ -29,6 +32,7 @@ from tvclust.sweep import (
     derive_instance_seed,
     run_one,
     run_sweep,
+    write_aggregate_csv,
     write_sweep_csv,
 )
 
@@ -55,7 +59,7 @@ def batch_edges(monkeypatch):
     batches, cluster_many = [], sweep._cluster_many
 
     def recorded(runs, max_iters):
-        batches.append([len(set(labels.values())) * g.num_edges for g, labels in runs])
+        batches.append([len(set(labels.tolist())) * g.num_edges for g, _, labels in runs])
         return cluster_many(runs, max_iters)
 
     monkeypatch.setattr(sweep, "_cluster_many", recorded)
@@ -139,6 +143,43 @@ class TestSweepEngine:
         ints = (*config.cluster_sizes, *config.s_values, config.reps, config.rng_seed)
         assert all(type(v) is int for v in ints)
 
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.3, 0.6, 2), tuple(np.linspace(0.3, 0.6, 2))],
+        ids=["array", "tuple"],
+    )
+    def test_numpy_probabilities_written_as_floats(self, tmp_path, grid):
+        # numpy grid values used to reach the p_in, p_out and ratio columns
+        # of both CSVs as "np.float64(0.3)" (and an array grid failed on
+        # its truth value)
+        config = small_config(p_in_grid=grid, p_out=np.float64(0.05))
+        assert config == small_config()
+        assert all(type(p) is float for p in (*config.p_in_grid, config.p_out))
+        plain = small_config()
+        for cfg, tag in ((config, "numpy"), (plain, "plain")):
+            rows = run_sweep(cfg)
+            write_sweep_csv(tmp_path / f"{tag}.csv", rows)
+            write_aggregate_csv(tmp_path / f"{tag}_agg.csv", aggregate_rows(cfg, rows))
+        for name in ("{}.csv", "{}_agg.csv"):
+            text = (tmp_path / name.format("numpy")).read_text()
+            assert "np." not in text
+            assert text == (tmp_path / name.format("plain")).read_text()
+
+    def test_sequence_fields_stored_as_tuples(self):
+        # a list p_in_grid used to be stored as given, which made the
+        # config unhashable and unequal to its tuple form
+        config = small_config(cluster_sizes=[8, 8], p_in_grid=[0.3, 0.6], s_values=[2])
+        assert config == small_config() and hash(config) == hash(small_config())
+        assert all(type(getattr(config, name)) is tuple
+                   for name in ("cluster_sizes", "p_in_grid", "s_values"))
+
+    @pytest.mark.parametrize("field, value", [("p_out", "0.05"), ("p_out", None),
+                                              ("p_in_grid", ("0.3",)),
+                                              ("p_in_grid", (0.3, None))])
+    def test_non_number_probability_named(self, field, value):
+        # each used to raise a bare TypeError from the range check
+        with pytest.raises(SweepConfigError, match=f"{field} must be a number"):
+            small_config(**{field: value})
+
     def test_timing_off_by_default(self, tmp_path):
         rows = run_sweep(small_config())
         assert all(r.wall_ms == 0 for r in rows)
@@ -156,9 +197,9 @@ class TestSweepEngine:
         clock = iter([0.0, seconds])
         monkeypatch.setattr(sweep.time, "perf_counter", lambda: next(clock))
         assert run_one(small_config(), 0, 0, 0, measure_time=True).wall_ms == wall_ms
-        # in a batched sweep a row reads its run's generation and accuracy
-        # time plus an equal share of its batch's clustering: here a
-        # quarter of `seconds` each, and half of `seconds` per run in the
+        # in a batched sweep a row reads its run's generation time plus an
+        # equal share of its batch's clustering and scoring: here a quarter
+        # of `seconds`, and half and a quarter of `seconds` per run in the
         # batch, on a clock that moves only inside those steps
         now = [0.0]
 
@@ -171,10 +212,10 @@ class TestSweepEngine:
         monkeypatch.setattr(sweep.time, "perf_counter", lambda: now[0])
         monkeypatch.setattr(sweep, "_ROW_EDGES", 150)
         batches = batch_edges(monkeypatch)
-        for name, share in (("generate_instance", 0.25), ("accuracy", 0.25)):
-            monkeypatch.setattr(sweep, name, taking(getattr(sweep, name), share * seconds))
-        monkeypatch.setattr(sweep, "_cluster_many",
-                            taking(sweep._cluster_many, 0.5 * seconds, batched=True))
+        monkeypatch.setattr(sweep, "_draw", taking(sweep._draw, 0.25 * seconds))
+        for name, share in (("_cluster_many", 0.5), ("_accuracies", 0.25)):
+            monkeypatch.setattr(sweep, name, taking(getattr(sweep, name), share * seconds,
+                                                    batched=True))
         rows = run_sweep(small_config(reps=5), 1, True)
         assert len({len(batch) for batch in batches}) > 1
         assert [r.wall_ms for r in rows] == [wall_ms] * 10
@@ -199,6 +240,62 @@ class TestSweepEngine:
         for row, (gi, si, rep) in zip(rows, keys):
             assert (row.p_in, row.s, row.rep) == (config.p_in_grid[gi], config.s_values[si], rep)
             assert row.instance_seed == derive_instance_seed(42, gi, si, rep)
+            assert row == run_one(config, gi, si, rep)
+
+
+def random_models(count, seed):
+    """(cluster sizes, p_out, p_in grid, s values) of `count` random block
+    models: K 1-4, unequal sizes from 1, p_out 0, 1 or between, a grid with
+    one p_in at most p_out, and s values up to the smallest cluster."""
+    rng = np.random.default_rng(seed)
+    models = [((1, 5, 3), 1.0, (0.0, 0.7), (1,)), ((7,), 0.0, (0.5, 0.0), (3,))]
+    while len(models) < count:
+        sizes = tuple(int(n) for n in rng.integers(1, 16, size=rng.integers(1, 5)))
+        p_out = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.5)]))
+        grid = (float(rng.uniform()), float(rng.uniform(0.0, p_out)))
+        s_values = tuple(sorted({int(s) for s in rng.integers(1, min(sizes) + 1, size=2)}))
+        models.append((sizes, p_out, grid, s_values))
+    return models
+
+
+class TestSharedLayout:
+    """run_sweep builds one layout of the model and draws every run through
+    it: each instance is generate_instance's and each row run_one's."""
+
+    @pytest.mark.parametrize("model", random_models(11, 3), ids=str)
+    def test_sweep_draws_what_generate_instance_draws(self, monkeypatch, model):
+        sizes, p_out, grid, s_values = model
+        # rows of 16 pairs and more make a draw of several chunks
+        monkeypatch.setattr(sbm, "PAIR_CHUNK", 16)
+        layouts, drawn = [], []
+
+        def layout(*args):
+            layouts.append(make(*args))
+            return layouts[-1]
+
+        def draw(*args):
+            drawn.append(draw_run(*args))
+            return drawn[-1]
+
+        make, draw_run = sweep._Layout, sweep._draw
+        monkeypatch.setattr(sweep, "_Layout", layout)
+        monkeypatch.setattr(sweep, "_draw", draw)
+        config = SweepConfig(sizes, p_out, grid, s_values, 2, 11, max_iters=300)
+        rows = run_sweep(config)
+        assert len(layouts) == 1  # once per sweep, not per run
+        n = sum(sizes)
+        assert len(layouts[0].chunks) > 1 or n * (n - 1) // 2 <= 16
+        monkeypatch.undo()  # one chunk per draw from here on
+        keys = [(gi, si, rep) for gi in range(len(grid))
+                for si in range(len(s_values)) for rep in range(2)]
+        assert len(rows) == len(drawn) == len(keys)
+        for row, instance, (gi, si, rep) in zip(rows, drawn, keys):
+            alone = generate_instance(SbmParams(sizes, grid[gi], p_out), s_values[si],
+                                      derive_instance_seed(11, gi, si, rep))
+            assert instance.graph.edges.dtype == alone.graph.edges.dtype == np.int32
+            assert instance.graph.edges.tobytes() == alone.graph.edges.tobytes()
+            assert instance.seeds == alone.seeds
+            assert_array_equal(instance.truth.assignment, alone.truth.assignment)
             assert row == run_one(config, gi, si, rep)
 
 
@@ -356,6 +453,28 @@ class TestCliSweep:
         gp = tmp_path / "plot.gp"
         main(self.ARGV + ["--out", str(out), "--gnuplot-out", str(gp)])
         assert "plot" in gp.read_text()
+
+    @pytest.mark.parametrize("name", ["my results_agg.csv", "it's \"q\" $HOME a\\b.csv"],
+                             ids=["space", "quotes"])
+    def test_gnuplot_script_quotes_aggregate_path(self, tmp_path, name):
+        # the aggregate path used to go unquoted into the shell command of
+        # gnuplot's system(), so a space made awk read two files, and in
+        # bare single quotes as the data file, which a quote broke
+        out, agg, gp = tmp_path / "sweep.csv", tmp_path / name, tmp_path / "plot.gp"
+        main(self.ARGV + ["--out", str(out), "--aggregate-out", str(agg),
+                          "--gnuplot-out", str(gp)])
+        text = gp.read_text()
+        # gnuplot's double-quoted string, with its \" and \\ escapes undone
+        command = re.search(r'system\("((?:[^"\\]|\\.)*)"\)', text).group(1)
+        command = re.sub(r"\\(.)", r"\1", command)
+        assert shlex.split(command) == [
+            "awk", "-F,", "NR>1 {print $1}", str(agg), "|", "sort", "-nu",
+        ]
+        data = re.search(r"^    '((?:[^']|'')*)' using", text, re.M).group(1)
+        assert data.replace("''", "'") == str(agg)
+        if shutil.which("awk") and shutil.which("sort"):
+            run = subprocess.run(["sh", "-c", command], capture_output=True, text=True)
+            assert run.stdout == "2\n"
 
     def test_range_grid_syntax(self, tmp_path):
         out = tmp_path / "sweep.csv"
